@@ -5,19 +5,18 @@ File formats (all UTF-8 text, '\\n' line endings, bit-exact across runs):
 * edge list: '#' starts a comment line; first data line is "n m"; then m
   lines "u<TAB>v<TAB>w" with 0-based endpoints and w in {-1, 0, 1}.
 * matrix: first line "r c"; then r lines of c whitespace-separated tokens;
-  finite entries in decimal, infinities as "+inf"/"-inf" ("inf" parses as
-  "+inf").  0/1 matrices use the same frame.
+  finite entries in decimal with |value| <= 2**53, infinities as
+  "+inf"/"-inf" ("inf" parses as "+inf").  0/1 matrices use the same frame.
 
-Exit codes: 0 success, 1 verification mismatch, 2 parse error, 3 invalid
-input (weight or index out of range, or a violated product precondition in
-verification mode).
+Exit codes: 0 success, 1 verification mismatch, 2 parse error (malformed
+header or framing), 3 invalid input (weight or index out of range, a matrix
+entry beyond 2**53, or a violated product precondition in verification mode).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -165,15 +164,24 @@ def format_matrix(matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+# largest magnitude up to which every integer is exact in float64
+_EXACT_LIMIT = 2**53
+
+
 def _parse_entry(token, number):
     if token in ("inf", "+inf"):
         return POS_INF
     if token == "-inf":
         return NEG_INF
     try:
-        return float(int(token))
-    except (ValueError, OverflowError):
+        value = int(token)
+    except ValueError:
         raise ParseError(f"line {number}: bad matrix entry {token!r}") from None
+    if abs(value) > _EXACT_LIMIT:
+        raise InvalidInputError(
+            f"line {number}: entry {token!r} exceeds 2**53 in magnitude"
+        )
+    return float(value)
 
 
 def parse_matrix(text) -> np.ndarray:
@@ -184,26 +192,28 @@ def parse_matrix(text) -> np.ndarray:
         raise ParseError("empty matrix file") from None
     fields = header.split()
     try:
-        rows, cols = int(fields[0]), int(fields[1])
-        if len(fields) != 2 or rows < 0 or cols < 0:
+        rows, cols = map(int, fields)  # a field count other than 2 also fails
+        if rows < 0 or cols < 0:
             raise ValueError
     except ValueError:
         raise ParseError(f"line {number}: expected header 'r c', got {header!r}") from None
-    out = np.empty((rows, cols), dtype=np.float64)
-    filled = 0
+    values = []
     for number, line in lines:
-        if filled == rows:
+        if len(values) == rows:
             raise ParseError(f"line {number}: more than {rows} matrix rows")
         tokens = line.split()
         if len(tokens) != cols:
             raise ParseError(
                 f"line {number}: expected {cols} entries, got {len(tokens)}"
             )
-        out[filled] = [_parse_entry(tok, number) for tok in tokens]
-        filled += 1
-    if filled != rows:
-        raise ParseError(f"expected {rows} matrix rows, found {filled}")
-    return out
+        values.append([_parse_entry(tok, number) for tok in tokens])
+    if len(values) != rows:
+        raise ParseError(f"expected {rows} matrix rows, found {len(values)}")
+    try:
+        # only a zero-row header can still name a shape numpy cannot hold
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+    except ValueError:
+        raise ParseError(f"header {header!r} is too large") from None
 
 
 def _read(path) -> str:
@@ -236,7 +246,6 @@ class RunConfig:
     sizes: tuple = (128, 256, 512)
     repeats: int = 2
     verify: bool = False
-    threads: int = 1
 
 
 def _checksum(matrix) -> str:
@@ -410,14 +419,6 @@ def _sizes(text):
     return sizes
 
 
-def _default_threads():
-    env = os.environ.get("APSP_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="minmax-apsp",
@@ -432,13 +433,6 @@ def _build_parser():
             type=_threshold,
             default=0.5,
             help="heavy/light exponent in [0, 1] for the restricted product",
-        )
-        p.add_argument(
-            "--threads",
-            type=_positive,
-            default=_default_threads(),
-            help="worker-count hint (falls back to APSP_THREADS; the current "
-            "kernels are single-threaded, so this only shapes the config)",
         )
         p.add_argument(
             "--verify",
@@ -495,7 +489,6 @@ def _config_from_args(args) -> RunConfig:
         "sizes",
         "repeats",
         "verify",
-        "threads",
     ):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))

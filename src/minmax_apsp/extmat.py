@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 import numpy as np
 
@@ -19,12 +18,8 @@ POS_INF = math.inf
 NEG_INF = -math.inf
 
 _WORD_BITS = 64
-_WORD_SHIFTS = np.arange(_WORD_BITS, dtype=np.uint64)
-# packbits/unpackbits write byte 0 first, so viewing them as uint64 words only
-# matches the bit layout on little-endian hosts
-_LITTLE_ENDIAN = sys.byteorder == "little"
-# above this size the one-shot (n, n, n) broadcast would need too much memory
-_DENSE3D_LIMIT = 150
+# packbits/unpackbits write byte 0 first, so the words are little-endian uint64
+_WORD_DTYPE = np.dtype("<u8")
 
 
 class VerificationError(RuntimeError):
@@ -72,15 +67,8 @@ def minplus_product(a, b):
     mixed = ((a == NEG_INF).any() or (b == NEG_INF).any()) and (
         (a == POS_INF).any() or (b == POS_INF).any()
     )
-    if n == 0:
-        return a.copy()
+    out = np.empty_like(a)
     with np.errstate(invalid="ignore"):  # the nans are repaired right below
-        if n <= _DENSE3D_LIMIT:
-            sums = a[:, :, None] + b[None, :, :]
-            if mixed:
-                sums[np.isnan(sums)] = POS_INF
-            return sums.min(axis=1)
-        out = np.empty_like(a)
         for i in range(n):
             sums = a[i][:, None] + b
             if mixed:
@@ -133,17 +121,10 @@ class BitMatrix:
             raise ValueError(f"expected a 2-d array, got shape {array.shape}")
         rows, cols = array.shape
         nwords = (cols + _WORD_BITS - 1) // _WORD_BITS
-        if _LITTLE_ENDIAN:
-            packed = np.packbits(array, axis=1, bitorder="little")
-            buffer = np.zeros((rows, nwords * 8), dtype=np.uint8)
-            buffer[:, : packed.shape[1]] = packed
-            return cls(rows, cols, buffer.view(np.uint64))
-        padded = np.zeros((rows, nwords * _WORD_BITS), dtype=np.uint64)
-        padded[:, :cols] = array
-        words = np.bitwise_or.reduce(
-            padded.reshape(rows, nwords, _WORD_BITS) << _WORD_SHIFTS, axis=2
-        )
-        return cls(rows, cols, words)
+        packed = np.packbits(array, axis=1, bitorder="little")
+        buffer = np.zeros((rows, nwords * 8), dtype=np.uint8)
+        buffer[:, : packed.shape[1]] = packed
+        return cls(rows, cols, buffer.view(_WORD_DTYPE))
 
     @classmethod
     def zeros(cls, rows, cols) -> "BitMatrix":
@@ -153,12 +134,9 @@ class BitMatrix:
     def to_bool(self) -> np.ndarray:
         if self.words.size == 0:
             return np.zeros((self.rows, self.cols), dtype=bool)
-        if _LITTLE_ENDIAN:
-            as_bytes = np.ascontiguousarray(self.words).view(np.uint8)
-            bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-            return bits[:, : self.cols].view(bool)
-        bits = (self.words[:, :, None] >> _WORD_SHIFTS) & np.uint64(1)
-        return bits.reshape(self.rows, -1)[:, : self.cols].astype(bool)
+        as_bytes = np.ascontiguousarray(self.words, dtype=_WORD_DTYPE).view(np.uint8)
+        bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
+        return bits[:, : self.cols].view(bool)
 
     def get(self, i, j) -> int:
         word = int(self.words[i, j // _WORD_BITS])

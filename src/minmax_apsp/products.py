@@ -10,9 +10,9 @@ Boolean matrix product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .extmat import (
@@ -75,8 +75,8 @@ def occurrence_cutoff(n, t):
             else:
                 lo = mid + 1
         return lo
-    with mpmath.workdps(60):
-        return int(mpmath.ceil(mpmath.power(n, t)))
+    power = Context(prec=60).power(Decimal(n), Decimal(t))
+    return int(power.to_integral_value(ROUND_CEILING))
 
 
 @dataclass

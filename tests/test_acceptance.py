@@ -202,10 +202,8 @@ def test_determinism(tmp_path):
     assert gen_a.read_bytes() == gen_b.read_bytes()
 
     solve_a, solve_b = tmp_path / "sa.txt", tmp_path / "sb.txt"
-    for out, threads in ((solve_a, 1), (solve_b, 8)):
-        code = run(
-            RunConfig(command="solve", input=str(gen_a), output=str(out), threads=threads)
-        )
+    for out in (solve_a, solve_b):
+        code = run(RunConfig(command="solve", input=str(gen_a), output=str(out)))
         assert code == 0
     assert solve_a.read_bytes() == solve_b.read_bytes()
 

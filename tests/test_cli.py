@@ -2,13 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmax_apsp import NEG_INF, POS_INF, minmax_product, oracle_apsp, target_minmax_naive
 from minmax_apsp.cli import (
     InvalidInputError,
     ParseError,
     RunConfig,
-    _default_threads,
     format_edge_list,
     format_matrix,
     gen_random_graph,
@@ -106,6 +107,37 @@ def test_matrix_parse_errors():
         parse_matrix("2 1\n3\n")
 
 
+_MATRIX_TOKENS = st.sampled_from(
+    ["0", "1", "2", "-3", "inf", "+inf", "-inf", "x", str(2**53), str(2**53 + 1), "99999999999999999999"]
+)
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Near-valid matrix files: a header, then rows of tokens with skewed counts."""
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    header = draw(st.sampled_from([f"{rows} {cols}", f"{rows}", f"{rows} {cols} 1", "0 99999999999999999999"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.sampled_from([cols, cols, cols + 1, max(cols - 1, 0)]))
+        lines.append(" ".join(draw(st.lists(_MATRIX_TOKENS, min_size=width, max_size=width))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="0129 \n\t-+#inf"), _matrix_texts()))
+def test_parse_matrix_fuzz(text):
+    try:
+        out = parse_matrix(text)
+    except (ParseError, InvalidInputError):
+        return
+    data = (line.strip() for line in text.splitlines())
+    header = next(line for line in data if line and not line.startswith("#"))
+    assert out.dtype == np.float64
+    assert out.shape == tuple(int(f) for f in header.split())
+
+
 # ---------------------------------------------------------------------------
 # commands through run()/main()
 
@@ -153,8 +185,8 @@ def test_solve_is_deterministic_across_runs(tmp_path):
     main(["gen", "-n", "16", "--density", "0.5", "--seed", "9", "-o", str(gen)])
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
-    assert main(["solve", str(gen), "-o", str(out1), "--threads", "1"]) == 0
-    assert main(["solve", str(gen), "-o", str(out2), "--threads", "4"]) == 0
+    assert main(["solve", str(gen), "-o", str(out1)]) == 0
+    assert main(["solve", str(gen), "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -240,6 +272,33 @@ def test_product_missing_target_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _product_minmax_exit(tmp_path, text):
+    pa = tmp_path / "a.txt"
+    pa.write_text(text, encoding="utf-8")
+    return main(["product", "--kernel", "minmax", str(pa), str(pa), "-o", str(tmp_path / "o.txt")])
+
+
+def test_product_one_field_header_exits_2(tmp_path, capsys):
+    assert _product_minmax_exit(tmp_path, "3\n") == 2
+    assert "expected header" in capsys.readouterr().err
+
+
+def test_product_huge_header_exits_2_without_allocating(tmp_path, capsys):
+    assert _product_minmax_exit(tmp_path, "1000000000 1000000000\n0\n") == 2
+    assert "expected 1000000000 entries" in capsys.readouterr().err
+    assert _product_minmax_exit(tmp_path, "1000000000 1000000000\n") == 2
+
+
+def test_product_entries_beyond_2_53_exit_3(tmp_path, capsys):
+    out = tmp_path / "o.txt"
+    for limit in (2**53, -(2**53)):  # min-max of a 1x1 matrix with itself is its entry
+        assert _product_minmax_exit(tmp_path, f"1 1\n{limit}\n") == 0
+        assert out.read_text(encoding="utf-8") == f"1 1\n{limit}\n"
+    for beyond in (2**53 + 1, -(2**53) - 1, 100000000000000000001):
+        assert _product_minmax_exit(tmp_path, f"1 1\n{beyond}\n") == 3
+        assert "line 2" in capsys.readouterr().err
+
+
 def test_product_restricted_rejects_finite_b(tmp_path):
     pa = tmp_path / "a.txt"
     pa.write_text(format_matrix(np.zeros((2, 2))), encoding="utf-8")
@@ -298,12 +357,3 @@ def test_verify_mismatch_report(tmp_path, capsys, monkeypatch):
     report = capsys.readouterr().out
     assert "MISMATCH" in report
     assert "(0, 1)" in report and "got" in report and "want" in report
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("APSP_THREADS", "7")
-    assert _default_threads() == 7
-    monkeypatch.setenv("APSP_THREADS", "junk")
-    assert _default_threads() == 1
-    monkeypatch.delenv("APSP_THREADS")
-    assert _default_threads() == 1

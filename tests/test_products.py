@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmax_apsp
 from minmax_apsp import (
     NEG_INF,
     POS_INF,
@@ -109,6 +115,18 @@ def test_cutoff_exact_at_power_boundaries():
 def test_cutoff_irrational_denominator_path():
     # float 1/3 is slightly below a third, so 8**t is slightly below 2
     assert occurrence_cutoff(8, 1 / 3) == 2
+
+
+def test_cutoff_needs_no_mpmath():
+    # a None entry in sys.modules makes every import of mpmath fail
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from minmax_apsp import occurrence_cutoff\n"
+        "assert occurrence_cutoff(8, 1 / 3) == 2\n"
+    )
+    src = Path(minmax_apsp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_cutoff_rejects_bad_exponent():
