@@ -53,13 +53,11 @@ from .reduction import (
     two_hop_target,
 )
 from .cli import (
-    RunConfig,
     gen_random_graph,
     format_edge_list,
     format_matrix,
     parse_edge_list,
     parse_matrix,
-    run,
 )
 
 __version__ = "0.1.0"
@@ -101,11 +99,9 @@ __all__ = [
     "parity_products",
     "solve_apsp",
     "two_hop_target",
-    "RunConfig",
     "gen_random_graph",
     "format_edge_list",
     "format_matrix",
     "parse_edge_list",
     "parse_matrix",
-    "run",
 ]

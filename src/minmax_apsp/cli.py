@@ -8,18 +8,23 @@ File formats (all UTF-8 text, '\\n' line endings, bit-exact across runs):
   finite entries in decimal with |value| <= 2**53, infinities as
   "+inf"/"-inf" ("inf" parses as "+inf").  0/1 matrices use the same frame.
 
+Every integer field is plain ASCII decimal, ``[+-]?[0-9]+``.
+
 Exit codes: 0 success, 1 verification mismatch, 2 parse error (malformed
-header or framing), 3 invalid input (weight or index out of range, a matrix
-entry beyond 2**53, or a violated product precondition in verification mode).
+header or framing, a non-decimal integer), 3 invalid input (weight or index
+out of range, a matrix entry beyond 2**53, an n whose first n-sized array
+exceeds physical memory, or a violated product precondition in verification
+mode).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
+import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,21 +108,37 @@ def _data_lines(text):
         yield number, line
 
 
-def parse_edge_list(text) -> SignedGraph:
-    lines = _data_lines(text)
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token, number, what) -> int:
+    """``int(token)`` for plain ASCII decimal only: ``int`` alone would also
+    take ``1_0`` and non-ASCII digits."""
+    if _DECIMAL.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"line {number}: non-integer {what} {token!r}")
+
+
+def _header(lines, kind, names):
+    """The first data line as its line number and its two integer fields."""
     try:
         number, header = next(lines)
     except StopIteration:
-        raise ParseError("empty edge-list file") from None
+        raise ParseError(f"empty {kind} file") from None
     fields = header.split()
     if len(fields) != 2:
-        raise ParseError(f"line {number}: expected header 'n m', got {header!r}")
-    try:
-        n, m = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise ParseError(f"line {number}: non-integer header {header!r}") from None
+        raise ParseError(f"line {number}: expected header {names!r}, got {header!r}")
+    return number, [_integer(f, number, "header field") for f in fields]
+
+
+def parse_edge_list(text) -> SignedGraph:
+    lines = _data_lines(text)
+    number, (n, m) = _header(lines, "edge-list", "n m")
     if n < 0 or m < 0:
-        raise InvalidInputError(f"line {number}: negative count in header {header!r}")
+        raise InvalidInputError(f"line {number}: negative count in header '{n} {m}'")
     edges = []
     for number, line in lines:
         if len(edges) == m:
@@ -125,10 +146,7 @@ def parse_edge_list(text) -> SignedGraph:
         fields = line.split()
         if len(fields) != 3:
             raise ParseError(f"line {number}: expected 'u v w', got {line!r}")
-        try:
-            u, v, w = (int(f) for f in fields)
-        except ValueError:
-            raise ParseError(f"line {number}: non-integer edge {line!r}") from None
+        u, v, w = (_integer(f, number, "edge field") for f in fields)
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(
                 f"line {number}: endpoint out of range for n={n}: {line!r}"
@@ -173,10 +191,7 @@ def _parse_entry(token, number):
         return POS_INF
     if token == "-inf":
         return NEG_INF
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"line {number}: bad matrix entry {token!r}") from None
+    value = _integer(token, number, "matrix entry")
     if abs(value) > _EXACT_LIMIT:
         raise InvalidInputError(
             f"line {number}: entry {token!r} exceeds 2**53 in magnitude"
@@ -186,17 +201,9 @@ def _parse_entry(token, number):
 
 def parse_matrix(text) -> np.ndarray:
     lines = _data_lines(text)
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty matrix file") from None
-    fields = header.split()
-    try:
-        rows, cols = map(int, fields)  # a field count other than 2 also fails
-        if rows < 0 or cols < 0:
-            raise ValueError
-    except ValueError:
-        raise ParseError(f"line {number}: expected header 'r c', got {header!r}") from None
+    number, (rows, cols) = _header(lines, "matrix", "r c")
+    if rows < 0 or cols < 0:
+        raise ParseError(f"line {number}: negative count in header '{rows} {cols}'")
     values = []
     for number, line in lines:
         if len(values) == rows:
@@ -207,13 +214,14 @@ def parse_matrix(text) -> np.ndarray:
                 f"line {number}: expected {cols} entries, got {len(tokens)}"
             )
         values.append([_parse_entry(tok, number) for tok in tokens])
-    if len(values) != rows:
+    # the r rows of an r x 0 matrix are blank lines, so there are none to count
+    if cols and len(values) != rows:
         raise ParseError(f"expected {rows} matrix rows, found {len(values)}")
     try:
-        # only a zero-row header can still name a shape numpy cannot hold
+        # only a header with a zero count can still name a shape numpy cannot hold
         return np.array(values, dtype=np.float64).reshape(rows, cols)
     except ValueError:
-        raise ParseError(f"header {header!r} is too large") from None
+        raise ParseError(f"header '{rows} {cols}' is too large") from None
 
 
 def _read(path) -> str:
@@ -231,23 +239,6 @@ def _write(path, text):
 # commands
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str = ""
-    inputs: tuple = ()
-    output: str = ""
-    algorithm: str = "reduction"
-    threshold: float = 0.5
-    seed: int = 0
-    n: int = 8
-    density: float = 0.3
-    kernel: str = "minmax"
-    sizes: tuple = (128, 256, 512)
-    repeats: int = 2
-    verify: bool = False
-
-
 def _checksum(matrix) -> str:
     """'finite-sum:+inf-count:-inf-count' with the sum reduced mod 2**64."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -258,19 +249,35 @@ def _checksum(matrix) -> str:
     return f"{total}:{pos}:{neg}"
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    adjacency = adjacency_from_graph(parse_edge_list(_read(config.input)))
-    if config.algorithm == "oracle":
+def _refuse_beyond_memory(nbytes, what):
+    """Refuse (exit 3), before allocating it, an array larger than physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise InvalidInputError(
+            f"{what} would take {nbytes / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def _read_adjacency(path) -> np.ndarray:
+    graph = parse_edge_list(_read(path))
+    _refuse_beyond_memory(8 * graph.n**2, f"the adjacency matrix of n={graph.n}")
+    return adjacency_from_graph(graph)
+
+
+def _cmd_solve(args) -> int:
+    adjacency = _read_adjacency(args.input)
+    if args.algorithm == "oracle":
         star = oracle_apsp(adjacency)
     else:
-        star = solve_apsp(adjacency, config.threshold, verify=config.verify)
-    _write(config.output, format_matrix(star))
+        star = solve_apsp(adjacency, args.threshold, verify=args.verify)
+    _write(args.output, format_matrix(star))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    adjacency = adjacency_from_graph(parse_edge_list(_read(config.input)))
-    got = solve_apsp(adjacency, config.threshold, verify=config.verify)
+def _cmd_verify(args) -> int:
+    adjacency = _read_adjacency(args.input)
+    got = solve_apsp(adjacency, args.threshold, verify=args.verify)
     want = oracle_apsp(adjacency)
     if np.array_equal(got, want):
         print(f"ok: {adjacency.shape[0]} vertices, engine matches oracle")
@@ -285,31 +292,31 @@ def _cmd_verify(config: RunConfig) -> int:
     return 1
 
 
-def _cmd_product(config: RunConfig) -> int:
-    a = parse_matrix(_read(config.inputs[0]))
-    b = parse_matrix(_read(config.inputs[1]))
-    if config.kernel == "minmax":
-        _write(config.output, format_matrix(minmax_product(a, b)))
+def _cmd_product(args) -> int:
+    if args.kernel != "minmax" and args.target is None:
+        raise ParseError(f"kernel {args.kernel} needs a target matrix file")
+    a = parse_matrix(_read(args.a))
+    b = parse_matrix(_read(args.b))
+    if args.kernel == "minmax":
+        _write(args.output, format_matrix(minmax_product(a, b)))
         return 0
-    target = parse_matrix(_read(config.inputs[2]))
-    if config.kernel == "tminmax-naive":
+    target = parse_matrix(_read(args.target))
+    if args.kernel == "tminmax-naive":
         bits = target_minmax_naive(a, b, target)
     else:
-        try:
-            instance = RestrictedInstance(a, b, target)
-        except ValueError as exc:
-            raise InvalidInputError(str(exc)) from None
-        bits = restricted_target_minmax(
-            instance, config.threshold, verify=config.verify
-        )
-    _write(config.output, format_matrix(bits.to_bool().astype(np.float64)))
+        # a target that breaks the instance contract raises ValueError: exit 3
+        instance = RestrictedInstance(a, b, target)
+        bits = restricted_target_minmax(instance, args.threshold, verify=args.verify)
+    _write(args.output, format_matrix(bits.to_bool().astype(np.float64)))
     return 0
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    graph = gen_random_graph(config.n, config.density, config.seed)
-    header = f"# random graph: n={config.n} density={config.density} seed={config.seed}\n"
-    _write(config.output, header + format_edge_list(graph))
+def _cmd_gen(args) -> int:
+    # the first array gen_random_graph builds: two uint64 draws per ordered pair
+    _refuse_beyond_memory(16 * args.n * (args.n - 1), f"a random graph of n={args.n}")
+    graph = gen_random_graph(args.n, args.density, args.seed)
+    header = f"# random graph: n={args.n} density={args.density} seed={args.seed}\n"
+    _write(args.output, header + format_edge_list(graph))
     return 0
 
 
@@ -332,23 +339,23 @@ def _bench_instance(n, seed) -> RestrictedInstance:
     return RestrictedInstance(a, b, target)
 
 
-def _cmd_bench(config: RunConfig) -> int:
+def _cmd_bench(args) -> int:
     rows = []
-    for n in config.sizes:
-        instance = _bench_instance(n, config.seed)
+    for n in args.sizes:
+        instance = _bench_instance(n, args.seed)
         runs = {
             "minmax": lambda: minmax_product(instance.a, instance.b),
             "tminmax-naive": lambda: target_minmax_naive(
                 instance.a, instance.b, instance.target
             ),
             "tminmax-restricted": lambda: restricted_target_minmax(
-                instance, config.threshold
+                instance, args.threshold
             ),
         }
         for kernel, call in runs.items():
             best = None
             result = None
-            for _ in range(max(1, config.repeats)):
+            for _ in range(args.repeats):
                 tic = time.perf_counter_ns()
                 result = call()
                 elapsed = time.perf_counter_ns() - tic
@@ -357,31 +364,12 @@ def _cmd_bench(config: RunConfig) -> int:
                 checksum = _checksum(result)
             else:
                 checksum = _checksum(result.to_bool().astype(np.float64))
-            rows.append((kernel, n, config.threshold, best, checksum))
-    with open(config.output, "w", encoding="utf-8", newline="") as handle:
+            rows.append((kernel, n, args.threshold, best, checksum))
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["kernel", "n", "t", "wall_ns", "checksum"])
         writer.writerows(rows)
     return 0
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command, mapping domain failures to the documented exit codes."""
-    handlers = {
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "product": _cmd_product,
-        "gen": _cmd_gen,
-        "bench": _cmd_bench,
-    }
-    try:
-        return handlers[config.command](config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidInputError, VerificationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +414,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def engine_flags(p, verify=True):
         p.add_argument(
             "--threshold",
             "-t",
@@ -434,21 +422,24 @@ def _build_parser():
             default=0.5,
             help="heavy/light exponent in [0, 1] for the restricted product",
         )
-        p.add_argument(
-            "--verify",
-            action="store_true",
-            help="enable cubic per-stage self-checks",
-        )
+        if verify:
+            p.add_argument(
+                "--verify",
+                action="store_true",
+                help="enable cubic per-stage self-checks",
+            )
 
     p = sub.add_parser("solve", help="write the distance matrix of an edge list")
     p.add_argument("input", help="edge-list file")
     p.add_argument("--output", "-o", required=True, help="matrix file to write")
     p.add_argument("--algorithm", choices=("reduction", "oracle"), default="reduction")
-    common(p)
+    engine_flags(p)
+    p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="solve twice (engine and oracle) and compare")
     p.add_argument("input", help="edge-list file")
-    common(p)
+    engine_flags(p)
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("product", help="run one product kernel on matrix files")
     p.add_argument("--kernel", choices=KERNELS, required=True)
@@ -456,54 +447,35 @@ def _build_parser():
     p.add_argument("b", help="right matrix file")
     p.add_argument("target", nargs="?", help="target matrix file (tminmax kernels)")
     p.add_argument("--output", "-o", required=True)
-    common(p)
+    engine_flags(p)
+    p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("gen", help="write a seeded random edge list")
     p.add_argument("--n", "-n", type=_positive, required=True)
     p.add_argument("--density", type=_density, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", required=True)
-    common(p)
+    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("bench", help="time the product kernels over a size sweep")
     p.add_argument("--sizes", type=_sizes, default=(128, 256, 512))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=_positive, default=2)
     p.add_argument("--output", "-o", required=True)
-    common(p)
+    engine_flags(p, verify=False)
+    p.set_defaults(handler=_cmd_bench)
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in (
-        "input",
-        "output",
-        "algorithm",
-        "threshold",
-        "seed",
-        "n",
-        "density",
-        "kernel",
-        "sizes",
-        "repeats",
-        "verify",
-    ):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if args.command == "product":
-        if args.kernel != "minmax" and args.target is None:
-            raise ParseError(f"kernel {args.kernel} needs a target matrix file")
-        config.inputs = tuple(p for p in (args.a, args.b, args.target) if p)
-    return config
-
-
 def main(argv=None) -> int:
+    """Run one subcommand, mapping domain failures to the documented exit codes."""
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    except (InvalidInputError, VerificationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3

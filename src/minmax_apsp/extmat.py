@@ -138,9 +138,11 @@ class BitMatrix:
         bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
         return bits[:, : self.cols].view(bool)
 
-    def get(self, i, j) -> int:
-        word = int(self.words[i, j // _WORD_BITS])
-        return (word >> (j % _WORD_BITS)) & 1
+    def get(self, i, j):
+        """Bit (i, j) as 0 or 1; ``i`` and ``j`` may be integer arrays of one shape."""
+        j = np.asarray(j)
+        word = self.words[i, j // _WORD_BITS]
+        return (word >> (j % _WORD_BITS).astype(np.uint64)) & np.uint64(1)
 
     def __eq__(self, other):
         if not isinstance(other, BitMatrix):

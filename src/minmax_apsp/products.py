@@ -273,8 +273,7 @@ def restricted_target_minmax(
         # lo points at the first occurrence, which is exactly a run start
         run = np.searchsorted(index.run_starts, qi * n + lo[qi, qj], side="right") - 1
         registry_row = index.run_heavy_id[run]
-        word = f.words[registry_row, qj >> 6]
-        bit = ((word >> (qj & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        bit = f.get(registry_row, qj).astype(bool)
         out_flat[(qi * n + qj)[bit]] = True
     if light.any():
         qi, qj = np.nonzero(light)

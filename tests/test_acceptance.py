@@ -29,7 +29,7 @@ from minmax_apsp import (
     target_minmax_naive,
     two_hop_target,
 )
-from minmax_apsp.cli import RunConfig, format_matrix, gen_random_graph, run
+from minmax_apsp.cli import format_matrix, gen_random_graph, main
 from oracles import random_restricted_instance, random_signed_adjacency
 
 INF = POS_INF
@@ -195,15 +195,15 @@ def test_parity_suite():
 
 
 def test_determinism(tmp_path):
-    edge_args = dict(n=20, density=0.45, seed=31415)
+    edge_args = ["gen", "-n", "20", "--density", "0.45", "--seed", "31415"]
     gen_a, gen_b = tmp_path / "ga.txt", tmp_path / "gb.txt"
-    assert run(RunConfig(command="gen", output=str(gen_a), **edge_args)) == 0
-    assert run(RunConfig(command="gen", output=str(gen_b), **edge_args)) == 0
+    assert main(edge_args + ["-o", str(gen_a)]) == 0
+    assert main(edge_args + ["-o", str(gen_b)]) == 0
     assert gen_a.read_bytes() == gen_b.read_bytes()
 
     solve_a, solve_b = tmp_path / "sa.txt", tmp_path / "sb.txt"
     for out in (solve_a, solve_b):
-        code = run(RunConfig(command="solve", input=str(gen_a), output=str(out)))
+        code = main(["solve", str(gen_a), "-o", str(out)])
         assert code == 0
     assert solve_a.read_bytes() == solve_b.read_bytes()
 
@@ -215,13 +215,8 @@ def test_determinism(tmp_path):
     pt.write_text(format_matrix(instance.target), encoding="utf-8")
     prod_a, prod_b = tmp_path / "pa.txt", tmp_path / "pb.txt"
     for out in (prod_a, prod_b):
-        code = run(
-            RunConfig(
-                command="product",
-                inputs=(str(pa), str(pb), str(pt)),
-                kernel="tminmax-restricted",
-                output=str(out),
-            )
+        code = main(
+            ["product", "--kernel", "tminmax-restricted", str(pa), str(pb), str(pt), "-o", str(out)]
         )
         assert code == 0
     assert prod_a.read_bytes() == prod_b.read_bytes()
@@ -230,8 +225,7 @@ def test_determinism(tmp_path):
 
 def test_scaling_bench_informational(tmp_path):
     out = tmp_path / "bench.csv"
-    config = RunConfig(command="bench", sizes=(128, 256, 512), output=str(out), seed=1)
-    assert run(config) == 0
+    assert main(["bench", "--sizes", "128,256,512", "--seed", "1", "-o", str(out)]) == 0
     with open(out, encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     assert {r["kernel"] for r in rows} == {"minmax", "tminmax-naive", "tminmax-restricted"}

@@ -1,4 +1,7 @@
 import csv
+import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +12,12 @@ from minmax_apsp import NEG_INF, POS_INF, minmax_product, oracle_apsp, target_mi
 from minmax_apsp.cli import (
     InvalidInputError,
     ParseError,
-    RunConfig,
     format_edge_list,
     format_matrix,
     gen_random_graph,
     main,
     parse_edge_list,
     parse_matrix,
-    run,
 )
 
 INF = POS_INF
@@ -66,6 +67,7 @@ def test_edge_list_round_trip():
 def test_edge_list_accepts_comments_and_blanks():
     g = parse_edge_list("# header\n\n2 1\n# edge below\n0\t1\t-1\n\n")
     assert g.edges == ((0, 1, -1),)
+    assert parse_edge_list("+2 1\n0 +1 -1\n").edges == ((0, 1, -1),)  # signs are decimal
 
 
 def test_edge_list_parse_errors():
@@ -105,6 +107,34 @@ def test_matrix_parse_errors():
         parse_matrix("1 1\nx\n")
     with pytest.raises(ParseError):
         parse_matrix("2 1\n3\n")
+    with pytest.raises(ParseError):
+        parse_matrix("2 0\n3\n")
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (3, 3)])
+def test_matrix_round_trip_shapes(shape):
+    m = np.arange(math.prod(shape), dtype=float).reshape(shape) - 4
+    m[m == 0] = INF
+    m[m == 1] = NEG_INF
+    out = parse_matrix(format_matrix(m))
+    assert out.shape == shape
+    assert np.array_equal(out, m)
+
+
+@pytest.mark.parametrize(
+    "text", ["1 2\n1_0 3\n", "1 2\n10 \u0663\n", "\uff12 1\n5\n5\n", "1 1_0\n" + " 0" * 10 + "\n"]
+)
+def test_matrix_integers_are_ascii_decimal(text):
+    with pytest.raises(ParseError, match="non-integer"):
+        parse_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["2 1\n0 \u0661 1\n", "\uff12 1\n0 1 1\n", "2 1\n0 1 0_1\n", "1_1 1\n0 1 1\n"]
+)
+def test_edge_list_integers_are_ascii_decimal(text):
+    with pytest.raises(ParseError, match="non-integer"):
+        parse_edge_list(text)
 
 
 _MATRIX_TOKENS = st.sampled_from(
@@ -138,8 +168,46 @@ def test_parse_matrix_fuzz(text):
     assert out.shape == tuple(int(f) for f in header.split())
 
 
+_EDGE_TOKENS = st.one_of(
+    st.integers(-1, 8).map(str),
+    st.sampled_from(["+1", "2", "x", "1_0", "\u0661", "\uff12", "99999999999999999999"]),
+)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Near-valid edge lists with n <= 8: a header, then lines of skewed width."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 4))
+    header = draw(st.sampled_from([f"{n} {m}", f"{n} {m}", f"{n}", f"{n} {m} 1", f"-{n} {m}", f"{n} 1_0"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        lines.append("\t".join(draw(st.lists(_EDGE_TOKENS, min_size=width, max_size=width))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="0129 \n\t-+#_\u0661\uff12"),
+        st.sampled_from(["200000 0\n", "99999999999999999999 1\n0 1 1\n"]),
+        _edge_list_texts(),
+    )
+)
+def test_parse_edge_list_fuzz(text):
+    try:
+        graph = parse_edge_list(text)
+    except (ParseError, InvalidInputError):
+        return
+    data = (line.strip() for line in text.splitlines())
+    header = next(line for line in data if line and not line.startswith("#"))
+    assert (graph.n, len(graph.edges)) == tuple(int(f) for f in header.split())
+
+
 # ---------------------------------------------------------------------------
-# commands through run()/main()
+# commands through main()
 
 
 def write_chain(tmp_path):
@@ -219,6 +287,9 @@ def test_solve_malformed_file_exits_2(tmp_path, capsys):
     bad.write_text("2 1\n0 1\n", encoding="utf-8")
     assert main(["solve", str(bad), "-o", str(tmp_path / "x.txt")]) == 2
     assert "error" in capsys.readouterr().err
+    bad.write_text("2 1\n0 \u0661 1\n", encoding="utf-8")  # ARABIC-INDIC DIGIT ONE
+    assert main(["solve", str(bad), "-o", str(tmp_path / "x.txt")]) == 2
+    assert "line 2: non-integer edge field" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -229,6 +300,46 @@ def test_unknown_flags_exit_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--nonsense"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["gen", "-n", "4", "--threshold", "0.3"], ["gen", "-n", "4", "--verify"], ["bench", "--verify"]]
+)
+def test_flags_a_command_ignores_are_unknown(tmp_path, flags):
+    with pytest.raises(SystemExit) as info:
+        main(flags + ["-o", str(tmp_path / "x.txt")])
+    assert info.value.code == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_list_texts())
+def test_solve_fuzz_exits_cleanly(tmp_path_factory, text):
+    # headers stay at n <= 8: a valid large header would allocate n**2 and solve
+    inp = tmp_path_factory.getbasetemp() / "fuzz-edges.txt"
+    inp.write_text(text, encoding="utf-8")
+    assert main(["solve", str(inp), "-o", str(inp.with_suffix(".out"))]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "gen"])
+def test_n_beyond_physical_memory_exits_3_before_allocating(tmp_path, capsys, command):
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = 4 * math.isqrt(memory // 8)  # an n x n float64 matrix is 16x physical memory
+    graph, out = tmp_path / "huge.txt", str(tmp_path / "out.txt")
+    graph.write_text(f"{n} 0\n", encoding="utf-8")
+    argv = {
+        "solve": ["solve", str(graph), "-o", out],
+        "verify": ["verify", str(graph)],
+        "gen": ["gen", "-n", str(n), "-o", out],
+    }[command]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 64 * 2**20
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_product_minmax(tmp_path):
@@ -276,6 +387,11 @@ def _product_minmax_exit(tmp_path, text):
     pa = tmp_path / "a.txt"
     pa.write_text(text, encoding="utf-8")
     return main(["product", "--kernel", "minmax", str(pa), str(pa), "-o", str(tmp_path / "o.txt")])
+
+
+def test_product_non_decimal_entry_exits_2(tmp_path, capsys):
+    assert _product_minmax_exit(tmp_path, "1 1\n1_0\n") == 2
+    assert "line 2: non-integer matrix entry" in capsys.readouterr().err
 
 
 def test_product_one_field_header_exits_2(tmp_path, capsys):
@@ -333,16 +449,10 @@ def test_bench_writes_consistent_checksums(tmp_path):
         assert all(int(r["wall_ns"]) > 0 for r in rows)
 
 
-def test_verify_runconfig_roundtrip(tmp_path):
-    gen = tmp_path / "g.txt"
-    main(["gen", "-n", "6", "--density", "0.5", "--seed", "2", "-o", str(gen)])
-    config = RunConfig(command="verify", input=str(gen))
-    assert run(config) == 0
-
-
 def test_verify_mismatch_report(tmp_path, capsys, monkeypatch):
     # the engine never actually disagrees with the oracle, so corrupt it to
-    # exercise the exit-1 report contract
+    # exercise the exit-1 report contract; the package may have been imported
+    # afresh since this file's imports, so patch and call the current module
     import minmax_apsp.cli as cli_mod
 
     def corrupted(a, t=0.5, **kwargs):
@@ -352,8 +462,8 @@ def test_verify_mismatch_report(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "solve_apsp", corrupted)
     gen = tmp_path / "g.txt"
-    main(["gen", "-n", "8", "--density", "0.9", "--seed", "4", "-o", str(gen)])
-    assert main(["verify", str(gen)]) == 1
+    cli_mod.main(["gen", "-n", "8", "--density", "0.9", "--seed", "4", "-o", str(gen)])
+    assert cli_mod.main(["verify", str(gen)]) == 1
     report = capsys.readouterr().out
     assert "MISMATCH" in report
     assert "(0, 1)" in report and "got" in report and "want" in report
