@@ -5,8 +5,9 @@ The (min, max) product takes the bottleneck of every two-leg route and keeps
 the best one.  The target product only asks *whether* each entry of a given
 target matrix is that optimum.  For restricted instances (right matrix all
 +/-inf, target never above the optimum) the production kernel answers without
-ever forming the product: heavy target values go through one packed Boolean
-matrix product, light ones through short scans of the sorted rows.
+ever forming the product: it groups each row's columns by value, sends
+targets in heavy (large) groups through one packed Boolean matrix product and
+scans the few columns of light groups.
 """
 
 import numpy as np

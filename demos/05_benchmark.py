@@ -3,8 +3,8 @@
 
 Both kernels get the same restricted instances.  The naive one always forms
 the full (min, max) product; the heavy-light one touches each entry's
-occurrence run plus one bit-packed Boolean product, which is why it pulls
-ahead as n grows.
+light (row, value) group plus one bit-packed Boolean product, which is why it
+pulls ahead as n grows.
 """
 
 import time

@@ -8,7 +8,7 @@ File formats (all UTF-8 text, '\\n' line endings, bit-exact across runs):
   finite entries in decimal with |value| <= 2**53, infinities as
   "+inf"/"-inf" ("inf" parses as "+inf").  0/1 matrices use the same frame.
 
-Every integer field is plain ASCII decimal, ``[+-]?[0-9]+``.
+Every integer field and argument is plain ASCII decimal, ``[+-]?[0-9]+``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse error (malformed
 header or framing, a non-decimal integer), 3 invalid input (weight or index
@@ -111,15 +111,20 @@ def _data_lines(text):
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
+def _decimal(text) -> int:
+    """``int(text)`` for plain ASCII decimal only: ``int`` alone would also
+    take ``1_0`` and non-ASCII digits.  Raises ValueError otherwise, also for
+    more digits than ``int`` converts."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _integer(token, number, what) -> int:
-    """``int(token)`` for plain ASCII decimal only: ``int`` alone would also
-    take ``1_0`` and non-ASCII digits."""
-    if _DECIMAL.fullmatch(token):
-        try:
-            return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ParseError(f"line {number}: non-integer {what} {token!r}")
+    try:
+        return _decimal(token)
+    except ValueError:
+        raise ParseError(f"line {number}: non-integer {what} {token!r}") from None
 
 
 def _header(lines, kind, names):
@@ -340,6 +345,9 @@ def _bench_instance(n, seed) -> RestrictedInstance:
 
 
 def _cmd_bench(args) -> int:
+    for n in args.sizes:
+        # the first array _bench_instance builds: four uint64 draws per entry
+        _refuse_beyond_memory(32 * n * n, f"a bench instance of n={n}")
     rows = []
     for n in args.sizes:
         instance = _bench_instance(n, args.seed)
@@ -391,7 +399,7 @@ def _density(text):
 
 
 def _positive(text):
-    value = int(text)
+    value = _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -399,7 +407,7 @@ def _positive(text):
 
 def _sizes(text):
     try:
-        sizes = tuple(int(part) for part in text.split(",") if part)
+        sizes = tuple(_decimal(part) for part in text.split(",") if part)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
     if not sizes or any(n < 1 for n in sizes):
@@ -453,13 +461,13 @@ def _build_parser():
     p = sub.add_parser("gen", help="write a seeded random edge list")
     p.add_argument("--n", "-n", type=_positive, required=True)
     p.add_argument("--density", type=_density, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("bench", help="time the product kernels over a size sweep")
     p.add_argument("--sizes", type=_sizes, default=(128, 256, 512))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--repeats", type=_positive, default=2)
     p.add_argument("--output", "-o", required=True)
     engine_flags(p, verify=False)

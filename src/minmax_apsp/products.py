@@ -2,9 +2,12 @@
 
 Three operations live here: the cubic (min, max) product, the naive target
 product built on top of it (both serve as oracles), and the production target
-product for restricted instances, which splits each row's values into heavy
-and light by occurrence count and answers heavy targets through one packed
-Boolean matrix product.
+product for restricted instances.  That one groups the columns of every row of
+the left matrix by value into one flat (row, value) group index, finds the
+group of every target at once by binary search on the sorted group keys, and
+answers targets in heavy groups (more than ceil(n**t) columns) through one
+packed Boolean matrix product and targets in light groups by scanning the
+group's few columns.
 """
 
 from __future__ import annotations
@@ -81,107 +84,71 @@ def occurrence_cutoff(n, t):
 
 @dataclass
 class RowIndex:
-    """Per-row sorted view of a matrix plus its heavy-value registry.
+    """The (row, value) groups of a matrix: the columns of row i that hold one
+    value, for every row i and every value in it.
 
-    Row i sorted by (value, column) is the pair (sorted_vals[i], order[i]).
-    A value is heavy for row i when it occurs strictly more than ``cutoff``
-    times there; heavy values get consecutive ids row-major in ascending value
-    order, so runs are reproducible bit for bit.  The run_* arrays describe
-    the maximal equal-value runs of the row-sorted matrix in flat row-major
-    positions; every heavy run carries its registry id, light runs carry -1.
+    Group g has key row * width + rank, where rank is the value's position
+    among the matrix's ``values``; keys ascend, so groups run row-major in
+    ascending value order.  Its columns, ascending, are
+    ``columns[starts[g]:starts[g + 1]]``.  A group is heavy when it holds
+    strictly more than ``cutoff`` columns; heavy groups get consecutive ids in
+    group order, so the heavy matrix is reproducible bit for bit, and light
+    groups carry heavy id -1.
     """
 
     n: int
-    t: float
     cutoff: int
-    order: np.ndarray  # (rows, n) argsort of each row, ties by column
-    sorted_vals: np.ndarray  # (rows, n) row-sorted values
-    heavy_values: list  # per row: ascending ndarray of heavy values
-    rho_offsets: np.ndarray  # (rows + 1,) id of each row's first heavy value
-    run_starts: np.ndarray  # flat position of each equal-value run
-    run_lengths: np.ndarray
-    run_heavy_id: np.ndarray  # registry id per run, -1 when light
+    values: np.ndarray  # (width,) distinct values of the matrix, ascending
+    keys: np.ndarray  # (groups,) row * width + rank of the value
+    starts: np.ndarray  # (groups + 1,) offset of each group in columns
+    columns: np.ndarray  # (rows * n,) columns in group order
+    heavy_id: np.ndarray  # (groups,) heavy id per group, -1 when light
+    heavy_rows: int  # number of heavy groups
 
-    @property
-    def heavy_rows(self) -> int:
-        """Total number of registered (row, heavy value) pairs."""
-        return int(self.rho_offsets[-1])
-
-    def heavy_row_id(self, i, value):
-        """Registry id of (row i, value), or None if the value is not heavy there."""
-        hv = self.heavy_values[i]
-        pos = int(np.searchsorted(hv, value))
-        if pos == hv.size or hv[pos] != value:
-            return None
-        return int(self.rho_offsets[i]) + pos
+    def group_of(self, rows, values):
+        """Group number of each (row, value) pair, or -1 where the value does
+        not occur in its row."""
+        if not self.keys.size:  # rows with no columns hold no value
+            return np.full(np.shape(values), -1)
+        width = self.values.size
+        rank = np.minimum(np.searchsorted(self.values, values), width - 1)
+        keys = rows * width + rank
+        group = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        group[(self.values[rank] != values) | (self.keys[group] != keys)] = -1
+        return group
 
 
 def build_row_index(a, t) -> RowIndex:
-    """Sort every row lexicographically by (value, column) and register the
-    values occurring more than ceil(n**t) times."""
+    """Group every row's columns by value and mark the groups holding more
+    than ceil(n**t) columns heavy."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     rows, n = a.shape
     cutoff = occurrence_cutoff(n, t)
+    # a stable sort keeps each group's columns ascending
     order = np.argsort(a, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(a, order, axis=1)
-    if rows == 0 or n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return RowIndex(
-            n,
-            t,
-            cutoff,
-            order,
-            sorted_vals,
-            [sorted_vals[i, :0] for i in range(rows)],
-            np.zeros(rows + 1, dtype=np.int64),
-            empty,
-            empty.copy(),
-            empty.copy(),
-        )
     is_start = np.ones((rows, n), dtype=bool)
     is_start[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
-    run_starts = np.flatnonzero(is_start)
-    run_lengths = np.diff(np.append(run_starts, rows * n))
-    heavy_runs = run_lengths > cutoff
-    run_heavy_id = np.full(run_starts.size, -1, dtype=np.int64)
-    run_heavy_id[heavy_runs] = np.arange(int(heavy_runs.sum()), dtype=np.int64)
-    per_row = np.bincount(run_starts[heavy_runs] // n, minlength=rows)
-    rho_offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(per_row, out=rho_offsets[1:])
-    heavy_values = np.split(
-        sorted_vals.ravel()[run_starts[heavy_runs]], rho_offsets[1:-1]
-    )
+    heads = np.flatnonzero(is_start)
+    head_vals = sorted_vals.ravel()[heads]
+    values = np.unique(head_vals)
+    keys = heads // n * values.size + np.searchsorted(values, head_vals)
+    starts = np.append(heads, rows * n)
+    heavy = np.diff(starts) > cutoff
+    heavy_id = np.where(heavy, np.cumsum(heavy) - 1, -1)
     return RowIndex(
-        n,
-        t,
-        cutoff,
-        order,
-        sorted_vals,
-        heavy_values,
-        rho_offsets,
-        run_starts,
-        run_lengths,
-        run_heavy_id,
+        n, cutoff, values, keys, starts, order.ravel(), heavy_id, int(heavy.sum())
     )
 
 
-def build_heavy_matrix(a, index: RowIndex) -> BitMatrix:
-    """One 0/1 row per registered heavy value: bit j set iff a[i, j] equals it."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] + 1 != index.rho_offsets.size or a.shape[1] != index.n:
-        raise ValueError("row index does not match the matrix it was built from")
+def build_heavy_matrix(index: RowIndex) -> BitMatrix:
+    """One 0/1 row per heavy group: bit j set iff column j is in the group."""
+    member_id = np.repeat(index.heavy_id, np.diff(index.starts))
+    member = member_id >= 0
     occupancy = np.zeros((index.heavy_rows, index.n), dtype=bool)
-    heavy_runs = index.run_heavy_id >= 0
-    if heavy_runs.any():
-        starts = index.run_starts[heavy_runs]
-        lengths = index.run_lengths[heavy_runs]
-        total = int(lengths.sum())
-        bases = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        members = np.arange(total, dtype=np.int64) + np.repeat(starts - bases, lengths)
-        rows = np.repeat(index.run_heavy_id[heavy_runs], lengths)
-        occupancy[rows, index.order.ravel()[members]] = True
+    occupancy[member_id[member], index.columns[member]] = True
     return BitMatrix.from_bool(occupancy)
 
 
@@ -234,11 +201,12 @@ def restricted_target_minmax(
 ):
     """Target product for restricted instances via heavy-light row decomposition.
 
-    For each entry the target value is looked up in its row of ``a``: a heavy
-    target reads one precomputed bit of F = H x B', a light target scans its
-    (short) occurrence run for a column where b is -inf, and an absent target
-    yields 0.  A +inf target yields 1 directly: the instance bound forces the
-    min-max there to +inf, and no finite witness rule applies.
+    For each entry the target value is looked up among the (row, value)
+    groups of ``a``: a target in a heavy group reads one precomputed bit of
+    F = H x B', a target in a light group scans the group's (few) columns for
+    one where b is -inf, and a target absent from its row yields 0.  A +inf
+    target yields 1 directly: the instance bound forces the min-max there to
+    +inf, and no finite witness rule applies.
 
     ``t`` in [0, 1] positions the heavy/light cutoff at ceil(n**t); the output
     is the same for every t.  With verify=True the target bound is asserted
@@ -250,59 +218,35 @@ def restricted_target_minmax(
     a, b, target = instance.a, instance.b, instance.target
     n = a.shape[0]
     index = build_row_index(a, t)
-    heavy_bits = build_heavy_matrix(a, index)
     b_neg = b == NEG_INF
-    f = bool_product(heavy_bits, BitMatrix.from_bool(b_neg))
+    f = bool_product(build_heavy_matrix(index), BitMatrix.from_bool(b_neg))
 
-    lo = np.empty((n, n), dtype=np.int64)
-    hi = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        sv = index.sorted_vals[i]
-        lo[i] = sv.searchsorted(target[i], side="left")
-        hi[i] = sv.searchsorted(target[i], side="right")
-    counts = hi - lo
-
-    target_inf = target == POS_INF
-    heavy = (counts > index.cutoff) & ~target_inf
-    light = (counts > 0) & (counts <= index.cutoff) & ~target_inf
+    target_inf = target.ravel() == POS_INF
+    queries = np.flatnonzero(~target_inf)
+    qi, qj = np.divmod(queries, n)
+    group = index.group_of(qi, target.ravel()[queries])
+    heavy_id = index.heavy_id[group]
+    heavy = (group >= 0) & (heavy_id >= 0)
+    light = (group >= 0) & (heavy_id < 0)
 
     out = target_inf.copy()
-    out_flat = out.ravel()
-    if heavy.any():
-        qi, qj = np.nonzero(heavy)
-        # lo points at the first occurrence, which is exactly a run start
-        run = np.searchsorted(index.run_starts, qi * n + lo[qi, qj], side="right") - 1
-        registry_row = index.run_heavy_id[run]
-        bit = f.get(registry_row, qj).astype(bool)
-        out_flat[(qi * n + qj)[bit]] = True
-    if light.any():
-        qi, qj = np.nonzero(light)
-        order_flat = index.order.ravel()
-        b_neg_flat = b_neg.ravel()
-        pos = lo[qi, qj]
-        end = hi[qi, qj]
-        base = qi * n
-        # scan each occurrence run, retiring queries as they hit or exhaust
-        while qi.size:
-            hit = b_neg_flat[order_flat[base + pos] * n + qj]
-            if hit.any():
-                out_flat[(base + qj)[hit]] = True
-            pos = pos + 1
-            live = ~hit & (pos < end)
-            if not live.all():
-                qi, qj, pos, end, base = (
-                    qi[live],
-                    qj[live],
-                    pos[live],
-                    end[live],
-                    base[live],
-                )
+    bit = f.get(heavy_id[heavy], qj[heavy]).astype(bool)
+    out[queries[heavy][bit]] = True
+    # scan each light group, retiring queries as they hit or exhaust it
+    b_neg_flat = b_neg.ravel()
+    live_q, live_j = queries[light], qj[light]
+    pos, end = index.starts[group[light]], index.starts[group[light] + 1]
+    while live_q.size:
+        hit = b_neg_flat[index.columns[pos] * n + live_j]
+        out[live_q[hit]] = True
+        pos = pos + 1
+        live = ~hit & (pos < end)
+        live_q, live_j, pos, end = live_q[live], live_j[live], pos[live], end[live]
 
-    result = BitMatrix.from_bool(out)
+    result = BitMatrix.from_bool(out.reshape(n, n))
     if not return_routes:
         return result
-    routes = np.full((n, n), ROUTE_ABSENT, dtype=np.int8)
-    routes[target_inf] = ROUTE_TARGET_INF
-    routes[heavy] = ROUTE_HEAVY
-    routes[light] = ROUTE_LIGHT
-    return result, routes
+    routes = np.where(target_inf, ROUTE_TARGET_INF, ROUTE_ABSENT).astype(np.int8)
+    routes[queries[heavy]] = ROUTE_HEAVY
+    routes[queries[light]] = ROUTE_LIGHT
+    return result, routes.reshape(n, n)

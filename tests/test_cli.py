@@ -320,7 +320,22 @@ def test_solve_fuzz_exits_cleanly(tmp_path_factory, text):
     assert main(["solve", str(inp), "-o", str(inp.with_suffix(".out"))]) in (0, 2, 3)
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "gen"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-n", "\u0661_\u0660"],
+        ["bench", "--sizes", "1_6"],
+        ["bench", "--sizes", "16", "--seed", "\u0663"],
+        ["bench", "--sizes", "16", "--repeats", "\uff12"],
+    ],
+)
+def test_integer_arguments_are_ascii_decimal(tmp_path, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["-o", str(tmp_path / "x.txt")])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "gen", "bench"])
 def test_n_beyond_physical_memory_exits_3_before_allocating(tmp_path, capsys, command):
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     n = 4 * math.isqrt(memory // 8)  # an n x n float64 matrix is 16x physical memory
@@ -330,6 +345,7 @@ def test_n_beyond_physical_memory_exits_3_before_allocating(tmp_path, capsys, co
         "solve": ["solve", str(graph), "-o", out],
         "verify": ["verify", str(graph)],
         "gen": ["gen", "-n", str(n), "-o", out],
+        "bench": ["bench", "--sizes", str(n), "-o", out],
     }[command]
     tracemalloc.start()
     try:

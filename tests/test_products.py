@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minmax_apsp
+from minmax_apsp import cli
 from minmax_apsp import (
     NEG_INF,
     POS_INF,
@@ -136,17 +138,27 @@ def test_cutoff_rejects_bad_exponent():
         occurrence_cutoff(4, 1.1)
 
 
+def group(idx, i, value):
+    """Group number of (row i, value) in the index, or -1."""
+    return int(idx.group_of(np.array([i]), np.array([value], dtype=float))[0])
+
+
+def heavy_row(idx, i, value):
+    """Heavy id of (row i, value), or None when the value is light or absent."""
+    g = group(idx, i, value)
+    return None if g < 0 or idx.heavy_id[g] < 0 else int(idx.heavy_id[g])
+
+
 def test_row_index_heavy_example():
     a = np.array([[4, 4, 4, 1], [1, 2, 3, 4], [5, 5, 6, 6], [0, 0, 0, 0]], dtype=float)
     idx = build_row_index(a, 0.5)  # cutoff 2
     assert idx.cutoff == 2
-    assert idx.heavy_values[0].tolist() == [4]
-    assert idx.heavy_values[1].tolist() == []
-    assert idx.heavy_values[2].tolist() == []
-    assert idx.heavy_values[3].tolist() == [0]
-    assert idx.heavy_row_id(0, 4) == 0
-    assert idx.heavy_row_id(0, 1) is None
-    assert idx.heavy_row_id(3, 0) == 1
+    assert idx.heavy_rows == 2
+    assert heavy_row(idx, 0, 4) == 0
+    assert heavy_row(idx, 0, 1) is None
+    assert heavy_row(idx, 2, 5) is None  # two columns are not more than the cutoff
+    assert heavy_row(idx, 3, 0) == 1
+    assert group(idx, 1, 5) == -1  # 5 occurs in the matrix, but not in row 1
 
 
 def test_row_index_t_one_never_heavy():
@@ -159,15 +171,19 @@ def test_row_index_t_zero_pairs_are_heavy():
     a = np.array([[7, 7, 1, 2]], dtype=float)
     idx = build_row_index(a, 0.0)
     assert idx.cutoff == 1
-    assert idx.heavy_values[0].tolist() == [7]
+    assert idx.heavy_rows == 1
+    assert heavy_row(idx, 0, 7) == 0
+    assert heavy_row(idx, 0, 1) is None
 
 
 def test_row_index_is_lexicographic():
     a = np.array([[2, 1, 2, NEG_INF, 1, INF]], dtype=float)
     idx = build_row_index(a, 0.5)
-    assert idx.sorted_vals[0].tolist() == [NEG_INF, 1, 1, 2, 2, INF]
-    # ties broken by ascending column
-    assert idx.order[0].tolist() == [3, 1, 4, 0, 2, 5]
+    assert idx.values.tolist() == [NEG_INF, 1, 2, INF]
+    assert idx.keys.tolist() == [0, 1, 2, 3]
+    assert idx.starts.tolist() == [0, 1, 3, 5, 6]
+    # groups in ascending value order, each group's columns ascending
+    assert idx.columns.tolist() == [3, 1, 4, 0, 2, 5]
 
 
 def test_row_index_heavy_count_bound():
@@ -177,41 +193,70 @@ def test_row_index_heavy_count_bound():
             n = int(rng.integers(1, 33))
             a = rng.integers(-3, 4, size=(n, n)).astype(float)
             idx = build_row_index(a, t)
-            assert all(hv.size <= n / idx.cutoff for hv in idx.heavy_values)
+            heavy_keys = idx.keys[idx.heavy_id >= 0]
+            per_row = np.bincount(heavy_keys // idx.values.size, minlength=n)
+            assert (per_row <= n / idx.cutoff).all()
             assert idx.heavy_rows <= n * occurrence_cutoff(n, 1 - t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_index_groups_match_the_matrix(data):
+    rows = data.draw(st.integers(min_value=0, max_value=6), label="rows")
+    n = data.draw(st.integers(min_value=0, max_value=6), label="n")
+    entries = st.sampled_from([NEG_INF, -2.0, -1.0, 0.0, 1.0, 2.0, INF])
+    row = st.lists(entries, min_size=n, max_size=n)
+    a = np.array(
+        data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float
+    ).reshape(rows, n)
+    t = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="t")
+    idx = build_row_index(a, t)
+    h = build_heavy_matrix(idx).to_bool()
+    assert h.shape == (idx.heavy_rows, n)
+    assert idx.heavy_rows <= rows * occurrence_cutoff(n, 1 - t)
+    # keys ascend strictly, so groups run row-major in ascending value order,
+    # and heavy ids count up in that order
+    assert (np.diff(idx.keys) > 0).all()
+    assert idx.heavy_id[idx.heavy_id >= 0].tolist() == list(range(idx.heavy_rows))
+    groups = 0
+    for i in range(rows):
+        assert group(idx, i, 99.0) == -1
+        for value in np.unique(a[i]):
+            g = group(idx, i, value)
+            columns = idx.columns[idx.starts[g] : idx.starts[g + 1]]
+            assert columns.tolist() == np.flatnonzero(a[i] == value).tolist()
+            assert (idx.heavy_id[g] >= 0) == (columns.size > idx.cutoff)
+            if idx.heavy_id[g] >= 0:
+                assert np.array_equal(h[idx.heavy_id[g]], a[i] == value)
+            groups += 1
+    assert idx.keys.size == groups
 
 
 def test_heavy_matrix_empty_registry():
     a = np.arange(9, dtype=float).reshape(3, 3)
     idx = build_row_index(a, 1.0)
-    assert build_heavy_matrix(a, idx).rows == 0
+    assert build_heavy_matrix(idx).rows == 0
 
 
 def test_heavy_matrix_occurrence_mask():
     a = np.array([[4, 4, 4, 1], [1, 1, 1, 1], [0, 1, 2, 3], [2, 2, 3, 3]], dtype=float)
     idx = build_row_index(a, 0.5)
-    h = build_heavy_matrix(a, idx)
-    assert np.array_equal(h.to_bool()[idx.heavy_row_id(0, 4)], [1, 1, 1, 0])
-    assert np.array_equal(h.to_bool()[idx.heavy_row_id(1, 1)], [1, 1, 1, 1])
+    h = build_heavy_matrix(idx)
+    assert np.array_equal(h.to_bool()[heavy_row(idx, 0, 4)], [1, 1, 1, 0])
+    assert np.array_equal(h.to_bool()[heavy_row(idx, 1, 1)], [1, 1, 1, 1])
 
 
 def test_heavy_matrix_rows_recount_multiplicities():
     rng = np.random.default_rng(41)
     a = rng.integers(0, 3, size=(8, 8)).astype(float)
     idx = build_row_index(a, 0.3)
-    h = build_heavy_matrix(a, idx).to_bool()
-    for i in range(8):
-        for value in idx.heavy_values[i]:
-            row = h[idx.heavy_row_id(i, value)]
-            assert row.sum() == (a[i] == value).sum()
-            assert np.array_equal(row, a[i] == value)
-
-
-def test_heavy_matrix_rejects_mismatched_shapes():
-    a = np.zeros((3, 3))
-    idx = build_row_index(a, 0.5)
-    with pytest.raises(ValueError):
-        build_heavy_matrix(np.zeros((4, 4)), idx)
+    h = build_heavy_matrix(idx).to_bool()
+    assert idx.heavy_rows > 0
+    for g in np.flatnonzero(idx.heavy_id >= 0):
+        i, rank = divmod(int(idx.keys[g]), idx.values.size)
+        row = h[idx.heavy_id[g]]
+        assert row.sum() == (a[i] == idx.values[rank]).sum()
+        assert np.array_equal(row, a[i] == idx.values[rank])
 
 
 # ---------------------------------------------------------------------------
@@ -331,3 +376,34 @@ def test_restricted_routes_partition_entries():
                     assert routes[i, j] == expected
                     if expected == ROUTE_ABSENT:
                         assert result.get(i, j) == 0
+
+
+def test_restricted_matches_naive_at_bench_size():
+    for seed in (0, 1):
+        inst = cli._bench_instance(512, seed)
+        want = target_minmax_naive(inst.a, inst.b, inst.target)
+        for t in (0.0, 0.5, 1.0):
+            assert restricted_target_minmax(inst, t) == want
+
+
+def test_restricted_memory_with_n_squared_distinct_values():
+    # every entry of a is its own value, so the matrix has n**2 values; an
+    # index with a row per (row, value) pair of the whole matrix would be n**3
+    n = 512
+    rng = np.random.default_rng(59)
+    a = rng.permutation(n * n).reshape(n, n).astype(float)
+    b = np.where(rng.random((n, n)) < 0.5, NEG_INF, INF)
+    # a row's minimum never exceeds the product; one below it occurs nowhere
+    row_min = np.broadcast_to(a.min(axis=1)[:, None], (n, n))
+    target = row_min - (rng.random((n, n)) < 0.5)
+    inst = RestrictedInstance(a, b, target)
+    tracemalloc.start()
+    try:
+        got = restricted_target_minmax(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # the only column holding the row minimum must meet a -inf in b
+    want = (target == row_min) & (b[a.argmin(axis=1)] == NEG_INF)
+    assert np.array_equal(got.to_bool(), want)
