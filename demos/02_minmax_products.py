@@ -6,7 +6,7 @@ the best one.  The target product only asks *whether* each entry of a given
 target matrix is that optimum.  For restricted instances (right matrix all
 +/-inf, target never above the optimum) the production kernel answers without
 ever forming the product: it groups each row's columns by value, sends
-targets in heavy (large) groups through one packed Boolean matrix product and
+targets in heavy (large) groups through one Boolean matrix product and
 scans the few columns of light groups.
 """
 
@@ -32,7 +32,7 @@ print("min-max product:", minmax_product(a, b).tolist())
 
 target = np.array([[2, 0], [2, 1]], dtype=float)
 print("target:", target.tolist())
-print("hits  :", target_minmax_naive(a, b, target).to_bool().astype(int).tolist())
+print("hits  :", target_minmax_naive(a, b, target).astype(int).tolist())
 
 # a bigger restricted instance with a skewed value distribution so both
 # routes fire (the hot value is low, so bottleneck optima often equal it)
@@ -53,6 +53,7 @@ print("heavy-routed entries:", int((routes == ROUTE_HEAVY).sum()))
 print("light-routed entries:", int((routes == ROUTE_LIGHT).sum()))
 
 reference = target_minmax_naive(values, signs, goal)
-print("matches the naive kernel:", bits == reference)
+print("matches the naive kernel:", np.array_equal(bits, reference))
 print("same answer at every threshold exponent:",
-      all(restricted_target_minmax(instance, t) == reference for t in (0, 0.25, 0.75, 1)))
+      all(np.array_equal(restricted_target_minmax(instance, t), reference)
+          for t in (0, 0.25, 0.75, 1)))

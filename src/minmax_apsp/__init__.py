@@ -3,7 +3,7 @@
 The engine halves all distances recursively through canonical rewiring and a
 two-hop closure, then recovers each pair's parity with two target min-max
 products; the restricted product answers heavy target values through one
-packed Boolean matrix product and light ones through short sorted-row scans.
+BLAS Boolean matrix product and light ones through short sorted-row scans.
 Brute-force oracles (Floyd-Warshall, cubic products) ship alongside for
 differential verification.
 """

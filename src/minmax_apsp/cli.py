@@ -11,16 +11,15 @@ File formats (all UTF-8 text, '\\n' line endings, bit-exact across runs):
 Every integer field and argument is plain ASCII decimal, ``[+-]?[0-9]+``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse error (malformed
-header or framing, a non-decimal integer), 3 invalid input (weight or index
-out of range, a matrix entry beyond 2**53, an n whose first n-sized array
-exceeds physical memory, or a violated product precondition in verification
-mode).
+header or framing, a non-decimal integer) or a file that cannot be read or
+written, 3 invalid input (weight or index out of range, a matrix entry
+beyond 2**53, an n whose first n-sized array exceeds physical memory, or a
+violated product precondition in verification mode).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -43,7 +42,7 @@ KERNELS = ("minmax", "tminmax-naive", "tminmax-restricted")
 
 
 class ParseError(Exception):
-    """A file (or its framing) could not be parsed.  Exit code 2."""
+    """A file could not be read, written or parsed.  Exit code 2."""
 
 
 class InvalidInputError(Exception):
@@ -237,7 +236,10 @@ def _read(path) -> str:
 
 
 def _write(path, text):
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def _cmd_product(args) -> int:
         # a target that breaks the instance contract raises ValueError: exit 3
         instance = RestrictedInstance(a, b, target)
         bits = restricted_target_minmax(instance, args.threshold, verify=args.verify)
-    _write(args.output, format_matrix(bits.to_bool().astype(np.float64)))
+    _write(args.output, format_matrix(bits))
     return 0
 
 
@@ -326,17 +328,20 @@ def _cmd_gen(args) -> int:
 
 
 def _bench_instance(n, seed) -> RestrictedInstance:
-    """Synthetic restricted instance: a few hot values (to feed the heavy
-    route) over a wide finite range, some +/-inf, and a target pulled a
-    nonnegative amount below the true product."""
+    """Synthetic restricted instance: hot values over a wide finite range,
+    some +/-inf (-inf at a rate of 1/(4n), so -inf targets stay a minority),
+    and a target pulled a nonnegative amount below the true product.  Odd
+    rows hold two hot values below the finite range, so their minima take the
+    heavy route; even rows' minima are rare finite values (light route)."""
     draws = _splitmix_stream(seed, 0, 4 * n * n)
     shaped = [draws[k * n * n : (k + 1) * n * n].reshape(n, n) for k in range(4)]
     kind, value, bsign, pull = shaped
     a = (value % np.uint64(2 * n + 1)).astype(np.float64) - n
     hot = (value % np.uint64(5)).astype(np.float64)
+    hot[1::2] = -n - 1.0 - (value[1::2] % np.uint64(2))
     a = np.where((kind % np.uint64(100)) < 30, hot, a)
     a[(kind % np.uint64(100)) >= 97] = POS_INF
-    a[(kind % np.uint64(100)) == 96] = NEG_INF
+    a[(kind % np.uint64(100 * n)) < 25] = NEG_INF
     b = np.where((bsign % np.uint64(2)).astype(bool), NEG_INF, POS_INF)
     product = minmax_product(a, b)
     slack = (pull % np.uint64(3)).astype(np.float64)
@@ -368,15 +373,10 @@ def _cmd_bench(args) -> int:
                 result = call()
                 elapsed = time.perf_counter_ns() - tic
                 best = elapsed if best is None else min(best, elapsed)
-            if kernel == "minmax":
-                checksum = _checksum(result)
-            else:
-                checksum = _checksum(result.to_bool().astype(np.float64))
-            rows.append((kernel, n, args.threshold, best, checksum))
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["kernel", "n", "t", "wall_ns", "checksum"])
-        writer.writerows(rows)
+            rows.append((kernel, n, args.threshold, best, _checksum(result)))
+    lines = ["kernel,n,t,wall_ns,checksum"]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 

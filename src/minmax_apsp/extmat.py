@@ -126,23 +126,10 @@ class BitMatrix:
         buffer[:, : packed.shape[1]] = packed
         return cls(rows, cols, buffer.view(_WORD_DTYPE))
 
-    @classmethod
-    def zeros(cls, rows, cols) -> "BitMatrix":
-        nwords = (cols + _WORD_BITS - 1) // _WORD_BITS
-        return cls(rows, cols, np.zeros((rows, nwords), dtype=np.uint64))
-
     def to_bool(self) -> np.ndarray:
-        if self.words.size == 0:
-            return np.zeros((self.rows, self.cols), dtype=bool)
         as_bytes = np.ascontiguousarray(self.words, dtype=_WORD_DTYPE).view(np.uint8)
         bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
         return bits[:, : self.cols].view(bool)
-
-    def get(self, i, j):
-        """Bit (i, j) as 0 or 1; ``i`` and ``j`` may be integer arrays of one shape."""
-        j = np.asarray(j)
-        word = self.words[i, j // _WORD_BITS]
-        return (word >> (j % _WORD_BITS).astype(np.uint64)) & np.uint64(1)
 
     def __eq__(self, other):
         if not isinstance(other, BitMatrix):
@@ -159,19 +146,24 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+# float32 elements per block of the left operand, so the block and its product
+# stay near 16 MiB each however many rows the left operand has
+_BLOCK_ELEMENTS = 1 << 22
+
+
 def bool_product(p: BitMatrix, q: BitMatrix) -> BitMatrix:
-    """Boolean matrix product: scan each row of ``p`` and OR together the rows
-    of ``q`` selected by its set bits, one word at a time."""
+    """Boolean matrix product: one float32 BLAS product of the 0/1 matrices
+    per block of ``p``'s rows.  A float sum of nonnegative terms is positive
+    iff some term is, in any order, so ``> 0`` is exact for any BLAS."""
     if p.cols != q.rows:
         raise ValueError(f"dimension mismatch: {p.cols} vs {q.rows}")
-    out = np.zeros((p.rows, q.words.shape[1]), dtype=np.uint64)
-    row_ids, col_ids = np.nonzero(p.to_bool())
-    if row_ids.size:
-        gathered = q.words[col_ids]
-        lengths = np.bincount(row_ids, minlength=p.rows)
-        nonempty = np.flatnonzero(lengths)
-        starts = np.concatenate(([0], np.cumsum(lengths)))[nonempty]
-        out[nonempty] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+    right = q.to_bool().astype(np.float32)
+    block = max(1, _BLOCK_ELEMENTS // max(p.cols, q.cols, 1))
+    out = np.empty((p.rows, q.words.shape[1]), dtype=_WORD_DTYPE)
+    for start in range(0, p.rows, block):
+        words = p.words[start : start + block]
+        left = BitMatrix(words.shape[0], p.cols, words).to_bool().astype(np.float32)
+        out[start : start + block] = BitMatrix.from_bool(left @ right > 0).words
     return BitMatrix(p.rows, q.cols, out)
 
 

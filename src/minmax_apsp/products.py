@@ -6,8 +6,8 @@ product for restricted instances.  That one groups the columns of every row of
 the left matrix by value into one flat (row, value) group index, finds the
 group of every target at once by binary search on the sorted group keys, and
 answers targets in heavy groups (more than ceil(n**t) columns) through one
-packed Boolean matrix product and targets in light groups by scanning the
-group's few columns.
+Boolean matrix product and targets in light groups by scanning the group's few
+columns.  Both target products return (n, n) bool arrays.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ def minmax_product(a, b):
     return out
 
 
-def target_minmax_naive(a, b, target) -> BitMatrix:
+def target_minmax_naive(a, b, target) -> np.ndarray:
     """Flag entries where the (min, max) product equals the target: compute the
     full product, then compare elementwise."""
     product = minmax_product(a, b)
     target = np.asarray(target, dtype=np.float64)
     if target.shape != product.shape:
         raise ValueError(f"dimension mismatch: {target.shape} vs {product.shape}")
-    return BitMatrix.from_bool(product == target)
+    return product == target
 
 
 def occurrence_cutoff(n, t):
@@ -204,9 +204,10 @@ def restricted_target_minmax(
     For each entry the target value is looked up among the (row, value)
     groups of ``a``: a target in a heavy group reads one precomputed bit of
     F = H x B', a target in a light group scans the group's (few) columns for
-    one where b is -inf, and a target absent from its row yields 0.  A +inf
-    target yields 1 directly: the instance bound forces the min-max there to
-    +inf, and no finite witness rule applies.
+    one where b is -inf, and a target absent from its row yields False.  A
+    +inf target yields True directly: the instance bound forces the min-max
+    there to +inf, and no finite witness rule applies.  The result is an
+    (n, n) bool array.
 
     ``t`` in [0, 1] positions the heavy/light cutoff at ceil(n**t); the output
     is the same for every t.  With verify=True the target bound is asserted
@@ -230,8 +231,7 @@ def restricted_target_minmax(
     light = (group >= 0) & (heavy_id < 0)
 
     out = target_inf.copy()
-    bit = f.get(heavy_id[heavy], qj[heavy]).astype(bool)
-    out[queries[heavy][bit]] = True
+    out[queries[heavy]] = f.to_bool()[heavy_id[heavy], qj[heavy]]
     # scan each light group, retiring queries as they hit or exhaust it
     b_neg_flat = b_neg.ravel()
     live_q, live_j = queries[light], qj[light]
@@ -243,7 +243,7 @@ def restricted_target_minmax(
         live = ~hit & (pos < end)
         live_q, live_j, pos, end = live_q[live], live_j[live], pos[live], end[live]
 
-    result = BitMatrix.from_bool(out.reshape(n, n))
+    result = out.reshape(n, n)
     if not return_routes:
         return result
     routes = np.where(target_inf, ROUTE_TARGET_INF, ROUTE_ABSENT).astype(np.int8)

@@ -94,7 +94,7 @@ def assemble_distances(halved_dist, z_plus, z_minus) -> np.ndarray:
     """Undo the halving: +/-inf pass through untouched, odd pairs (either
     detector fired) get 2t-1, the rest get 2t."""
     halved_dist = as_square(halved_dist)
-    odd = z_plus.to_bool() | z_minus.to_bool()
+    odd = z_plus | z_minus
     doubled = 2.0 * halved_dist
     return np.where(np.isfinite(halved_dist), np.where(odd, doubled - 1.0, doubled), halved_dist)
 
@@ -156,7 +156,7 @@ def apsp_minus_zero_one(a, delta, t=0.5, *, verify=False, trace=None) -> np.ndar
 
     if verify:
         finite = np.isfinite(halved_star)
-        fired = z_plus.to_bool() | z_minus.to_bool()
+        fired = z_plus | z_minus
         odd = np.zeros_like(fired)
         odd[finite] = (star[finite] % 2) == 1
         if not np.array_equal(fired[finite], odd[finite]):

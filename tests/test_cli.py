@@ -1,13 +1,17 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmax_apsp
 from minmax_apsp import NEG_INF, POS_INF, minmax_product, oracle_apsp, target_minmax_naive
 from minmax_apsp.cli import (
     InvalidInputError,
@@ -296,6 +300,48 @@ def test_missing_input_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.txt"), "-o", str(tmp_path / "x.txt")]) == 2
 
 
+def run_cli(argv, **env):
+    """``python -m minmax_apsp ARGV`` in a fresh interpreter."""
+    src = Path(minmax_apsp.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "minmax_apsp", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src), **env),
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["solve", "gen", "product", "bench"])
+def test_unwritable_output_exits_2(tmp_path, command, where):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(format_matrix(np.zeros((2, 2))), encoding="utf-8")
+    argv = {
+        "solve": ["solve", str(write_chain(tmp_path))],
+        "gen": ["gen", "-n", "4"],
+        "product": ["product", "--kernel", "minmax", str(matrix), str(matrix)],
+        "bench": ["bench", "--sizes", "4", "--repeats", "1"],
+    }[command]
+    out = tmp_path / "missing" / "x.txt" if where == "missing-directory" else tmp_path
+    done = run_cli(argv + ["-o", str(out)])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"error: cannot write {out}: " in done.stderr
+
+
+def test_solve_is_identical_across_blas_thread_counts(tmp_path):
+    gen = tmp_path / "g.txt"
+    assert main(["gen", "-n", "200", "--density", "0.02", "--seed", "11", "-o", str(gen)]) == 0
+    outputs = []
+    for threads, algorithm in (("1", "reduction"), ("2", "reduction"), ("1", "oracle")):
+        out = tmp_path / f"{algorithm}-{threads}.txt"
+        argv = ["solve", str(gen), "--algorithm", algorithm, "-o", str(out)]
+        done = run_cli(argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_unknown_flags_exit_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--nonsense"])
@@ -388,7 +434,7 @@ def test_product_target_kernels_agree(tmp_path):
     assert main(base + ["--kernel", "tminmax-naive", "-o", str(out_naive)]) == 0
     assert main(base + ["--kernel", "tminmax-restricted", "-o", str(out_rest), "--verify"]) == 0
     assert out_naive.read_bytes() == out_rest.read_bytes()
-    want = target_minmax_naive(a, b, target).to_bool().astype(float)
+    want = target_minmax_naive(a, b, target).astype(float)
     assert np.array_equal(parse_matrix(out_naive.read_text(encoding="utf-8")), want)
 
 
