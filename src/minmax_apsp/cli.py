@@ -13,7 +13,7 @@ Every integer field and argument is plain ASCII decimal, ``[+-]?[0-9]+``.
 Exit codes: 0 success, 1 verification mismatch, 2 parse error (malformed
 header or framing, a non-decimal integer) or a file that cannot be read or
 written, 3 invalid input (weight or index out of range, a matrix entry
-beyond 2**53, an n whose first n-sized array exceeds physical memory, or a
+beyond 2**53, an n whose measured memory peak exceeds physical memory, or a
 violated product precondition in verification mode).
 """
 
@@ -257,7 +257,7 @@ def _checksum(matrix) -> str:
 
 
 def _refuse_beyond_memory(nbytes, what):
-    """Refuse (exit 3), before allocating it, an array larger than physical memory."""
+    """Refuse (exit 3), before allocating it, a run larger than physical memory."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > memory:
         raise InvalidInputError(
@@ -266,14 +266,44 @@ def _refuse_beyond_memory(nbytes, what):
         )
 
 
-def _read_adjacency(path) -> np.ndarray:
+# Peak bytes per n**2 of one engine solve at t = 0.5 with verify off
+# (tracemalloc, through `solve`).  The largest measured is 156, on unit-cli
+# at n = 1024; a `gen` graph of the default density 0.3 reads 135 / 140 / 137
+# at n = 256 / 512 / 1024.  The unit-cli peak still rises with n (85, 130 and
+# 146 for solve_apsp alone, BENCH_solve.json) as more pairs become finite,
+# hence the headroom.  Other thresholds peak higher (179 at t = 1, 212 at
+# t = 0.25 on long-dag at n = 512, unbounded as t nears 0): not covered.
+SOLVE_BYTES_PER_ENTRY = 192
+
+# Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)
+# per ordered pair and per edge, rounded up from n = 500: 48 bytes per pair
+# at densities 0 to 0.1, 188.5 at density 1.
+GEN_BYTES_PER_PAIR = 48
+GEN_BYTES_PER_EDGE = 160
+
+
+def _read_adjacency(path, *, engine, verify=False) -> np.ndarray:
+    """The adjacency of an edge list, refused (exit 3) before it is built
+    when the solve's peak would exceed physical memory."""
     graph = parse_edge_list(_read(path))
-    _refuse_beyond_memory(8 * graph.n**2, f"the adjacency matrix of n={graph.n}")
+    n = graph.n
+    per_entry = 8  # the oracle's first array is the n x n float64 adjacency
+    if engine:
+        per_entry = SOLVE_BYTES_PER_ENTRY
+        if verify:
+            # every level (one per halving of n**2, plus the base case) keeps
+            # its float64 oracle distances across the recursion
+            per_entry += 8 * ((n * n - 1).bit_length() + 1)
+    _refuse_beyond_memory(
+        per_entry * n**2, f"solving n={n} at {per_entry} bytes per entry"
+    )
     return adjacency_from_graph(graph)
 
 
 def _cmd_solve(args) -> int:
-    adjacency = _read_adjacency(args.input)
+    adjacency = _read_adjacency(
+        args.input, engine=args.algorithm != "oracle", verify=args.verify
+    )
     if args.algorithm == "oracle":
         star = oracle_apsp(adjacency)
     else:
@@ -283,7 +313,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    adjacency = _read_adjacency(args.input)
+    adjacency = _read_adjacency(args.input, engine=True, verify=args.verify)
     got = solve_apsp(adjacency, args.threshold, verify=args.verify)
     want = oracle_apsp(adjacency)
     if np.array_equal(got, want):
@@ -319,8 +349,12 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    # the first array gen_random_graph builds: two uint64 draws per ordered pair
-    _refuse_beyond_memory(16 * args.n * (args.n - 1), f"a random graph of n={args.n}")
+    # the random draws and their temporaries per ordered pair, then the edges
+    pairs = args.n * (args.n - 1)
+    _refuse_beyond_memory(
+        pairs * (GEN_BYTES_PER_PAIR + args.density * GEN_BYTES_PER_EDGE),
+        f"a random graph of n={args.n} and density {args.density}",
+    )
     graph = gen_random_graph(args.n, args.density, args.seed)
     header = f"# random graph: n={args.n} density={args.density} seed={args.seed}\n"
     _write(args.output, header + format_edge_list(graph))

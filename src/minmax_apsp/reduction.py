@@ -108,6 +108,14 @@ def apsp_minus_zero_one(a, delta, t=0.5, *, verify=False, trace=None) -> np.ndar
     oracle (regularity, the halving law, the product bounds, the parity law,
     and the final distances) at cubic cost per level.  Pass a RecursionTrace
     to collect per-level sizes and timings.
+
+    Across its recursive call a level holds only an (n, n) int8 matrix of
+    the canonical edge signs, which is all that its parity masks read: its
+    input is dropped once rewired, and the halved matrix is handed to the
+    callee, which drops it in turn.  So with verify=False no float64 (n, n)
+    array outlives its level, and peak memory does not grow with depth
+    (on CPython >= 3.11, whose calls move their arguments into the callee).
+    verify=True also keeps the level's oracle distances.
     """
     a = as_square(a)
     delta = int(delta)
@@ -132,25 +140,35 @@ def apsp_minus_zero_one(a, delta, t=0.5, *, verify=False, trace=None) -> np.ndar
     tic = time.perf_counter()
     canonical = canonical_adjacency(a)
     level.canonical_s = time.perf_counter() - tic
+    del a
 
     tic = time.perf_counter()
-    halved = two_hop_target(canonical)
+    # Popped in the recursive call below, so that no name here keeps the
+    # halved matrix alive: CPython >= 3.11 moves call arguments into the
+    # callee's frame, and the callee drops it once rewired.
+    halved = [two_hop_target(canonical)]
     level.two_hop_s = time.perf_counter() - tic
 
     if verify:
         if not np.array_equal(oracle_apsp(canonical), star):
             raise VerificationError("canonical rewiring changed some distance")
-        if not np.array_equal(oracle_apsp(halved), ext_ceil_half(star)):
+        if not np.array_equal(oracle_apsp(halved[0]), ext_ceil_half(star)):
             raise VerificationError("halving law failed: halved distances are off")
+
+    # the parity masks read only the +1 and -1 edges
+    signs = np.zeros(canonical.shape, dtype=np.int8)
+    signs[canonical == 1] = 1
+    signs[canonical == -1] = -1
+    del canonical
 
     tic = time.perf_counter()
     halved_star = apsp_minus_zero_one(
-        halved, (delta + 1) // 2, t, verify=verify, trace=trace
+        halved.pop(), (delta + 1) // 2, t, verify=verify, trace=trace
     )
     level.recursion_s = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    x_plus, x_minus = parity_masks(canonical)
+    x_plus, x_minus = parity_masks(signs)
     z_plus, z_minus = parity_products(halved_star, x_plus, x_minus, t, verify=verify)
     level.products_s = time.perf_counter() - tic
 

@@ -404,6 +404,63 @@ def test_n_beyond_physical_memory_exits_3_before_allocating(tmp_path, capsys, co
     assert "physical memory" in capsys.readouterr().err
 
 
+def cli_with_memory(monkeypatch, mib):
+    """The current CLI module, reporting ``mib`` MiB of physical memory; the
+    package may have been imported afresh since this file's imports."""
+    import minmax_apsp.cli as cli
+
+    pages = {"SC_PHYS_PAGES": mib * 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    return cli
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_engine_refuses_beyond_its_measured_peak(tmp_path, capsys, monkeypatch, command):
+    # 64 MiB holds the 8 MiB adjacency of n = 1024, but not a solve of it
+    cli = cli_with_memory(monkeypatch, 64)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_apsp was called")
+
+    monkeypatch.setattr(cli, "solve_apsp", no_solve)
+    graph = tmp_path / "edgeless.txt"
+    graph.write_text("1024 0\n", encoding="utf-8")
+    argv = {
+        "solve": ["solve", str(graph), "-o", str(tmp_path / "out.txt")],
+        "verify": ["verify", str(graph)],
+    }[command]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "physical memory" in err and "Traceback" not in err
+
+
+def test_oracle_solve_is_bounded_by_its_adjacency(tmp_path, monkeypatch):
+    # 4 MiB holds the 0.5 MiB adjacency of n = 256, but not an engine solve
+    cli = cli_with_memory(monkeypatch, 4)
+    graph, out = tmp_path / "edgeless.txt", str(tmp_path / "out.txt")
+    graph.write_text("256 0\n", encoding="utf-8")
+    assert cli.main(["solve", str(graph), "-o", out]) == 3
+    assert cli.main(["solve", str(graph), "-o", out, "--algorithm", "oracle"]) == 0
+
+
+def test_verify_flag_counts_every_levels_oracle_distances(tmp_path, monkeypatch):
+    # n = 256 recurses 17 levels deep: 192 bytes per entry (12 MiB) without
+    # --verify, 192 + 8 * 17 (20.5 MiB) with it
+    cli = cli_with_memory(monkeypatch, 16)
+    graph = tmp_path / "edgeless.txt"
+    graph.write_text("256 0\n", encoding="utf-8")
+    assert cli.main(["verify", str(graph)]) == 0
+    assert cli.main(["verify", str(graph), "--verify"]) == 3
+
+
+@pytest.mark.parametrize("density, code", [("0", 0), ("1", 3)])
+def test_gen_refusal_counts_the_edges_it_builds(tmp_path, monkeypatch, density, code):
+    # n = 600 at density 1 peaks near 190 bytes per ordered pair, 65 MiB
+    cli = cli_with_memory(monkeypatch, 48)
+    argv = ["gen", "-n", "600", "--density", density, "-o", str(tmp_path / "g.txt")]
+    assert cli.main(argv) == code
+
+
 def test_product_minmax(tmp_path):
     a = np.array([[1, 3], [2, 0]], dtype=float)
     b = np.array([[2, NEG_INF], [INF, 1]], dtype=float)

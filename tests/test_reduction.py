@@ -1,6 +1,11 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import minmax_apsp
 from minmax_apsp import (
     NEG_INF,
     POS_INF,
@@ -18,6 +23,7 @@ from minmax_apsp import (
     solve_apsp,
     two_hop_target,
 )
+from minmax_apsp import reduction
 from oracles import random_signed_adjacency
 
 INF = POS_INF
@@ -194,3 +200,45 @@ def test_threshold_exponent_does_not_change_results():
     want = oracle_apsp(a)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert np.array_equal(solve_apsp(a, t), want)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["neg-cycles", "long-dag", "unit-cli"])
+def test_solve_memory_does_not_grow_with_depth(monkeypatch, workload):
+    # n = 256 recurses 16 levels deep: keeping a float64 (n, n) input and its
+    # canonical rewiring per level leaves 256 bytes per entry live at the base
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from solvebench import make_graph
+
+    n = 256
+    a = adjacency_from_graph(make_graph(minmax_apsp, workload, n, 3))
+    before = a.copy()
+    live = []
+    base_case = reduction.one_regular_apsp
+
+    def measured_base_case(m, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return base_case(m, **kwargs)
+
+    monkeypatch.setattr(reduction, "one_regular_apsp", measured_base_case)
+    tracemalloc.start()
+    try:
+        got = solve_apsp(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, oracle_apsp(a))
+    assert np.array_equal(a, before)
+    assert len(live) == 1
+    if sys.version_info < (3, 11):
+        # older calls keep their arguments in the caller's frame, so each
+        # level's halved matrix stays alive until the level returns
+        pytest.skip("the memory bound needs CPython >= 3.11")
+    assert live[0] < 64 * n * n
+    assert peak < 200 * n * n
