@@ -4,8 +4,8 @@ The engine halves all distances recursively through canonical rewiring and a
 two-hop closure, then recovers each pair's parity with two target min-max
 products; the restricted product answers heavy target values through one
 BLAS Boolean matrix product and light ones through short sorted-row scans.
-Brute-force oracles (Floyd-Warshall, cubic products) ship alongside for
-differential verification.
+That product is a solve's only cubic kernel; brute-force oracles
+(Floyd-Warshall, the (min, +) and (min, max) products) serve as checks.
 """
 
 from .extmat import (

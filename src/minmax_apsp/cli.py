@@ -57,13 +57,16 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix_stream(seed, start, count) -> np.ndarray:
-    """Outputs [start, start+count) of the splitmix64 sequence for ``seed``."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix_stream(seed, positions) -> np.ndarray:
+    """The splitmix64 outputs for ``seed`` at the given stream positions."""
+    z = (np.asarray(positions, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def gen_random_graph(n, density, seed) -> SignedGraph:
@@ -72,8 +75,9 @@ def gen_random_graph(n, density, seed) -> SignedGraph:
     {-1, 0, 1}.
 
     Pair number p consumes splitmix64 outputs 2p (presence: output <
-    floor(density * 2**64)) and 2p + 1 (weight: output mod 3, minus 1), so the
-    result is bit-identical for a fixed (n, density, seed) on any platform.
+    floor(density * 2**64)) and, if present, 2p + 1 (weight: output mod 3,
+    minus 1), so the result is bit-identical for a fixed (n, density, seed)
+    on any platform.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -82,17 +86,16 @@ def gen_random_graph(n, density, seed) -> SignedGraph:
     pairs = n * (n - 1)
     if pairs == 0:
         return SignedGraph(n, ())
-    draws = _splitmix_stream(seed, 0, 2 * pairs)
     if density >= 1.0:
-        present = np.ones(pairs, dtype=bool)
+        p = np.arange(pairs)
     else:
-        present = draws[0::2] < np.uint64(int(density * 2.0**64))
-    weights = (draws[1::2] % np.uint64(3)).astype(np.int64) - 1
-    p = np.flatnonzero(present)
+        presence = _splitmix_stream(seed, np.arange(0, 2 * pairs, 2))
+        p = np.flatnonzero(presence < np.uint64(int(density * 2.0**64)))
+    weights = (_splitmix_stream(seed, 2 * p + 1) % np.uint64(3)).astype(np.int64) - 1
     src = p // (n - 1)
     off = p % (n - 1)
     dst = off + (off >= src)
-    return SignedGraph(n, tuple(zip(src.tolist(), dst.tolist(), weights[p].tolist())))
+    return SignedGraph(n, tuple(zip(src.tolist(), dst.tolist(), weights.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +279,10 @@ def _refuse_beyond_memory(nbytes, what):
 SOLVE_BYTES_PER_ENTRY = 192
 
 # Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)
-# per ordered pair and per edge, rounded up from n = 500: 48 bytes per pair
-# at densities 0 to 0.1, 188.5 at density 1.
-GEN_BYTES_PER_PAIR = 48
-GEN_BYTES_PER_EDGE = 160
+# per ordered pair and per edge, rounded up from n = 500: 24 bytes per pair
+# at densities 0 to 0.1 (the presence draws), 188.5 at density 1.
+GEN_BYTES_PER_PAIR = 24
+GEN_BYTES_PER_EDGE = 168
 
 
 def _read_adjacency(path, *, engine, verify=False) -> np.ndarray:
@@ -367,7 +370,7 @@ def _bench_instance(n, seed) -> RestrictedInstance:
     and a target pulled a nonnegative amount below the true product.  Odd
     rows hold two hot values below the finite range, so their minima take the
     heavy route; even rows' minima are rare finite values (light route)."""
-    draws = _splitmix_stream(seed, 0, 4 * n * n)
+    draws = _splitmix_stream(seed, np.arange(4 * n * n))
     shaped = [draws[k * n * n : (k + 1) * n * n].reshape(n, n) for k in range(4)]
     kind, value, bsign, pull = shaped
     a = (value % np.uint64(2 * n + 1)).astype(np.float64) - n
@@ -385,7 +388,7 @@ def _bench_instance(n, seed) -> RestrictedInstance:
 
 def _cmd_bench(args) -> int:
     for n in args.sizes:
-        # the first array _bench_instance builds: four uint64 draws per entry
+        # the first array _bench_instance builds: four stream positions per entry
         _refuse_beyond_memory(32 * n * n, f"a bench instance of n={n}")
     rows = []
     for n in args.sizes:

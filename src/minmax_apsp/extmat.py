@@ -60,7 +60,8 @@ def _conform_square_pair(a, b):
 
 
 def minplus_product(a, b):
-    """(min, +) product: out[i, j] = min_k ext_add(a[i, k], b[k, j])."""
+    """(min, +) product: out[i, j] = min_k ext_add(a[i, k], b[k, j]).  An
+    oracle: a solve calls it only with verify on, through is_delta_regular."""
     a, b = _conform_square_pair(a, b)
     n = a.shape[0]
     # inf + (-inf) -> nan under IEEE; only possible when both signs are present

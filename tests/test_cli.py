@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -49,6 +50,26 @@ def test_gen_is_deterministic():
     assert a == b
     assert format_edge_list(a) == format_edge_list(b)
     assert gen_random_graph(17, 0.4, 987654321) != a
+
+
+# sha256 of format_edge_list(gen_random_graph(n, density, seed)), pinned so
+# that a change to the generator cannot silently change the graphs it draws
+GEN_DIGESTS = [
+    (1, 0.5, 1, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+    (2, 0.5, 5, "73e7cc91b544da7f58a32d97e27a52abd7dc2670a744ed177173e994534d333d"),
+    (2, 1.0, 0, "c5dd47db21710b0463cda1edca652939d18066e23dbafb6210d3e91599b0d402"),
+    (7, 0.0, 3, "13316410c3243a6b30a5a799aabf36a1e1a8f2aec49fd3af6869c33441dabea7"),
+    (7, 1.0, 3, "f285eaa0c74c161080ffe6778fbff53fad09bc3f10dc61fda30c5a706e52a6c9"),
+    (40, 0.3, 2**63 + 5, "8c0bf4341ae5b2dc29ba30c562d0d8081f90c6eacc79bb771ba5690a5ded11ac"),
+    (64, 0.02, 3, "5490a48c1bdd248bb26ef5aacf60aeaefe43a45cb84602dda8ffdfff9eb1a586"),
+    (100, 0.999, 17, "5f7334ad7897ea5370fa445fa32c74fc2c1e55dd0b683017715622a7e8a3facb"),
+]
+
+
+@pytest.mark.parametrize("n, density, seed, digest", GEN_DIGESTS)
+def test_gen_output_is_pinned(n, density, seed, digest):
+    text = format_edge_list(gen_random_graph(n, density, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gen_rejects_bad_arguments():

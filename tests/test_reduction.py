@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import minmax_apsp
 from minmax_apsp import (
@@ -15,6 +18,7 @@ from minmax_apsp import (
     adjacency_from_graph,
     apsp_minus_zero_one,
     assemble_distances,
+    bounded_hop_closure,
     canonical_adjacency,
     ext_ceil_half,
     oracle_apsp,
@@ -23,12 +27,27 @@ from minmax_apsp import (
     solve_apsp,
     two_hop_target,
 )
-from minmax_apsp import reduction
+from minmax_apsp import extmat, products, reduction
 from oracles import random_signed_adjacency
 
 INF = POS_INF
 
 CHAIN = np.array([[0, 1, INF], [INF, 0, 1], [INF, INF, 0]], dtype=float)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ["neg-cycles", "long-dag", "unit-cli"]
+
+
+def workload_adjacency(monkeypatch, workload, n):
+    """The adjacency of the first graph of a perfbench workload at size n."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from solvebench import make_graph
+
+    return adjacency_from_graph(make_graph(minmax_apsp, workload, n, 3))
+
+
+def halved_two_hop_oracle(c):
+    return ext_ceil_half(bounded_hop_closure(c, 2))
 
 
 def expected_depth(n):
@@ -56,10 +75,39 @@ def test_two_hop_negative_two_cycle_diagonal():
 
 
 def test_two_hop_flags_out_of_range_inputs():
-    # a non-canonical matrix whose two-hop walks leave {-1, 0, 1}
-    junk = np.array([[0, 3], [3, 0]], dtype=float)
-    with pytest.raises(VerificationError):
-        two_hop_target(junk)
+    # non-canonical matrices: any entry outside {-1, 0, 1, +inf}, whether or
+    # not its halved two-hop value would leave that set
+    for junk in (
+        [[0, 3], [3, 0]],
+        [[0, 2], [2, 0]],
+        [[0, 0.5], [0.5, 0]],
+        [[0, -2], [INF, 0]],
+    ):
+        with pytest.raises(VerificationError):
+            two_hop_target(np.array(junk, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        float,
+        st.integers(0, 8).map(lambda n: (n, n)),
+        elements=st.sampled_from([-1.0, 0.0, 1.0, INF]),
+    )
+)
+def test_two_hop_matches_min_plus_on_any_canonical_entries(c):
+    # any diagonal, not only the canonical 0 / -1
+    assert np.array_equal(two_hop_target(c), halved_two_hop_oracle(c))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_two_hop_matches_min_plus_on_workload_levels(monkeypatch, workload):
+    # the two-hop inputs of the first three levels at n = 512
+    a = workload_adjacency(monkeypatch, workload, 512)
+    for _ in range(3):
+        c = canonical_adjacency(a)
+        a = two_hop_target(c)
+        assert np.array_equal(a, halved_two_hop_oracle(c))
 
 
 def test_parity_masks_definitional():
@@ -194,6 +242,20 @@ def test_trace_depth_formula_and_timings():
         )
 
 
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_solve_runs_no_cubic_float_kernel(monkeypatch, workload):
+    # the Boolean product is the only cubic kernel in a solve without verify
+    a = workload_adjacency(monkeypatch, workload, 64)
+    want = oracle_apsp(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solve called a cubic float kernel")
+
+    monkeypatch.setattr(extmat, "minplus_product", forbidden)
+    monkeypatch.setattr(products, "minmax_product", forbidden)
+    assert np.array_equal(solve_apsp(a), want)
+
+
 def test_threshold_exponent_does_not_change_results():
     rng = np.random.default_rng(97)
     a = random_signed_adjacency(rng, 14, density=0.4)
@@ -206,18 +268,12 @@ def test_threshold_exponent_does_not_change_results():
 # memory
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.mark.parametrize("workload", ["neg-cycles", "long-dag", "unit-cli"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_solve_memory_does_not_grow_with_depth(monkeypatch, workload):
     # n = 256 recurses 16 levels deep: keeping a float64 (n, n) input and its
     # canonical rewiring per level leaves 256 bytes per entry live at the base
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from solvebench import make_graph
-
     n = 256
-    a = adjacency_from_graph(make_graph(minmax_apsp, workload, n, 3))
+    a = workload_adjacency(monkeypatch, workload, n)
     before = a.copy()
     live = []
     base_case = reduction.one_regular_apsp
