@@ -1,5 +1,8 @@
 """Command-line front end: generate, solve, verify, run product kernels, bench.
 
+Only ``product`` and ``bench`` take the heavy/light threshold ``-t``: a
+solve's output is the same at every threshold, so a solve runs at the default.
+
 File formats (all UTF-8 text, '\\n' line endings, bit-exact across runs):
 
 * edge list: '#' starts a comment line; first data line is "n m"; then m
@@ -269,13 +272,12 @@ def _refuse_beyond_memory(nbytes, what):
         )
 
 
-# Peak bytes per n**2 of one engine solve at t = 0.5 with verify off
-# (tracemalloc, through `solve`).  The largest measured is 156, on unit-cli
-# at n = 1024; a `gen` graph of the default density 0.3 reads 135 / 140 / 137
-# at n = 256 / 512 / 1024.  The unit-cli peak still rises with n (85, 130 and
-# 146 for solve_apsp alone, BENCH_solve.json) as more pairs become finite,
-# hence the headroom.  Other thresholds peak higher (179 at t = 1, 212 at
-# t = 0.25 on long-dag at n = 512, unbounded as t nears 0): not covered.
+# Peak bytes per n**2 of one engine solve with verify off (tracemalloc,
+# through `solve`).  A solve has one configuration, so this bounds every
+# solve.  The largest measured is 156, on unit-cli at n = 1024; a `gen` graph
+# of the default density 0.3 reads 135 / 140 / 137 at n = 256 / 512 / 1024.
+# The unit-cli peak still rises with n (85, 130 and 146 for solve_apsp alone,
+# BENCH_solve.json) as more pairs become finite, hence the headroom.
 SOLVE_BYTES_PER_ENTRY = 192
 
 # Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)
@@ -310,14 +312,14 @@ def _cmd_solve(args) -> int:
     if args.algorithm == "oracle":
         star = oracle_apsp(adjacency)
     else:
-        star = solve_apsp(adjacency, args.threshold, verify=args.verify)
+        star = solve_apsp(adjacency, verify=args.verify)
     _write(args.output, format_matrix(star))
     return 0
 
 
 def _cmd_verify(args) -> int:
     adjacency = _read_adjacency(args.input, engine=True, verify=args.verify)
-    got = solve_apsp(adjacency, args.threshold, verify=args.verify)
+    got = solve_apsp(adjacency, verify=args.verify)
     want = oracle_apsp(adjacency)
     if np.array_equal(got, want):
         print(f"ok: {adjacency.shape[0]} vertices, engine matches oracle")
@@ -459,14 +461,15 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def engine_flags(p, verify=True):
-        p.add_argument(
-            "--threshold",
-            "-t",
-            type=_threshold,
-            default=0.5,
-            help="heavy/light exponent in [0, 1] for the restricted product",
-        )
+    def engine_flags(p, threshold=True, verify=True):
+        if threshold:
+            p.add_argument(
+                "--threshold",
+                "-t",
+                type=_threshold,
+                default=0.5,
+                help="heavy/light exponent in [0, 1] for the restricted product",
+            )
         if verify:
             p.add_argument(
                 "--verify",
@@ -478,12 +481,12 @@ def _build_parser():
     p.add_argument("input", help="edge-list file")
     p.add_argument("--output", "-o", required=True, help="matrix file to write")
     p.add_argument("--algorithm", choices=("reduction", "oracle"), default="reduction")
-    engine_flags(p)
+    engine_flags(p, threshold=False)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="solve twice (engine and oracle) and compare")
     p.add_argument("input", help="edge-list file")
-    engine_flags(p)
+    engine_flags(p, threshold=False)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("product", help="run one product kernel on matrix files")

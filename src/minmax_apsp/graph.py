@@ -16,7 +16,6 @@ from .extmat import (
     NEG_INF,
     POS_INF,
     BitMatrix,
-    VerificationError,
     as_square,
     bool_closure,
     bool_product,
@@ -101,14 +100,15 @@ def canonical_adjacency(a) -> np.ndarray:
         raise ValueError(f"a[{k}, {k}] = {a[k, k]} breaks the diagonal convention")
 
     zero_reach = bool_closure(BitMatrix.from_bool((a == 0) & off))
-    composite = {}
-    for w in (-1, 1):
-        span = bool_product(zero_reach, BitMatrix.from_bool(a == w))
-        composite[w] = bool_product(span, zero_reach).to_bool()
+    # both weights in two products: Z*.[N | P], then [Z*N ; Z*P].Z*
+    signed = BitMatrix.from_bool(np.hstack([a == -1, a == 1]))
+    span = bool_product(zero_reach, signed).to_bool()
+    stacked = BitMatrix.from_bool(np.vstack([span[:, :n], span[:, n:]]))
+    composite = bool_product(stacked, zero_reach).to_bool()
     c = np.full((n, n), POS_INF)
-    c[composite[1]] = 1.0
+    c[composite[n:]] = 1.0
     c[zero_reach.to_bool()] = 0.0  # includes the reflexive diagonal
-    c[composite[-1]] = -1.0
+    c[composite[:n]] = -1.0
     return c
 
 
@@ -125,13 +125,11 @@ def is_delta_regular(a, delta) -> bool:
     return bool((bounded[~not_blasted] < 0).all())
 
 
-def one_regular_apsp(a, *, verify=False) -> np.ndarray:
+def one_regular_apsp(a) -> np.ndarray:
     """Distances for a 1-regular adjacency: a pair is -inf exactly when some k
     with a -1 self-loop has finite entries from i and to j; everything else is
     already optimal as a direct entry."""
     a = as_square(a)
-    if verify and not is_delta_regular(a, 1):
-        raise VerificationError("matrix is not 1-regular")
     out = a.copy()
     looped = np.flatnonzero(np.diagonal(a) == -1)
     if looped.size:

@@ -5,6 +5,8 @@ two-hop closure (three Boolean products), solves the halved instance
 recursively, and then recovers the lost parity bit with two restricted
 target products: one against the canonical +1 edges, one against the -1
 edges.  A pair's distance is odd exactly when one of the two products fires.
+The products run at their default heavy/light cutoff: it only balances their
+cost, and a solve's output is the same for every cutoff.
 """
 
 from __future__ import annotations
@@ -76,36 +78,31 @@ def parity_masks(canonical):
     return x_plus, x_minus
 
 
-def parity_products(halved_dist, x_plus, x_minus, t=0.5, *, verify=False):
+def parity_products(halved_dist, x_plus, x_minus, *, verify=False):
     """The two parity detectors (z_plus, z_minus).
 
     z_minus targets the halved distances themselves against the -1-edge mask;
-    z_plus targets them shifted down by one against the +1-edge mask.  Both
-    instances satisfy the restricted-product bound by the triangle inequality;
-    verify=True asserts it.
+    z_plus targets them shifted down by one against the +1-edge mask (both
+    infinities stay put under the shift).  Both instances satisfy the
+    restricted-product bound by the triangle inequality; verify=True asserts
+    it.
     """
     halved_dist = as_square(halved_dist)
-    shifted = np.where(np.isfinite(halved_dist), halved_dist - 1.0, halved_dist)
     minus_inst = RestrictedInstance(halved_dist, x_minus, halved_dist)
-    plus_inst = RestrictedInstance(halved_dist, x_plus, shifted)
-    if verify:
-        minus_inst.check_target_bound()
-        plus_inst.check_target_bound()
-    z_minus = restricted_target_minmax(minus_inst, t)
-    z_plus = restricted_target_minmax(plus_inst, t)
+    plus_inst = RestrictedInstance(halved_dist, x_plus, halved_dist - 1.0)
+    z_minus = restricted_target_minmax(minus_inst, verify=verify)
+    z_plus = restricted_target_minmax(plus_inst, verify=verify)
     return z_plus, z_minus
 
 
 def assemble_distances(halved_dist, z_plus, z_minus) -> np.ndarray:
-    """Undo the halving: +/-inf pass through untouched, odd pairs (either
-    detector fired) get 2t-1, the rest get 2t."""
-    halved_dist = as_square(halved_dist)
-    odd = z_plus | z_minus
-    doubled = 2.0 * halved_dist
-    return np.where(np.isfinite(halved_dist), np.where(odd, doubled - 1.0, doubled), halved_dist)
+    """Undo the halving: odd pairs (either detector fired) get 2d - 1, the
+    rest get 2d; IEEE arithmetic keeps +/-inf where they are."""
+    doubled = 2.0 * as_square(halved_dist)
+    return np.where(z_plus | z_minus, doubled - 1.0, doubled)
 
 
-def apsp_minus_zero_one(a, delta, t=0.5, *, verify=False, trace=None) -> np.ndarray:
+def apsp_minus_zero_one(a, delta, *, verify=False, trace=None) -> np.ndarray:
     """Exact distances for a delta-regular {-1, 0, 1} adjacency matrix.
 
     delta=1 solves directly; otherwise the instance is rewired canonically,
@@ -169,13 +166,13 @@ def apsp_minus_zero_one(a, delta, t=0.5, *, verify=False, trace=None) -> np.ndar
 
     tic = time.perf_counter()
     halved_star = apsp_minus_zero_one(
-        halved.pop(), (delta + 1) // 2, t, verify=verify, trace=trace
+        halved.pop(), (delta + 1) // 2, verify=verify, trace=trace
     )
     level.recursion_s = time.perf_counter() - tic
 
     tic = time.perf_counter()
     x_plus, x_minus = parity_masks(signs)
-    z_plus, z_minus = parity_products(halved_star, x_plus, x_minus, t, verify=verify)
+    z_plus, z_minus = parity_products(halved_star, x_plus, x_minus, verify=verify)
     level.products_s = time.perf_counter() - tic
 
     if verify:
@@ -195,9 +192,9 @@ def apsp_minus_zero_one(a, delta, t=0.5, *, verify=False, trace=None) -> np.ndar
     return result
 
 
-def solve_apsp(a, t=0.5, *, verify=False, trace=None) -> np.ndarray:
+def solve_apsp(a, *, verify=False, trace=None) -> np.ndarray:
     """Distances for an arbitrary {-1, 0, 1} adjacency: every such matrix is
     n^2-regular, so the recursion starts at delta = n^2."""
     a = as_square(a)
     n = a.shape[0]
-    return apsp_minus_zero_one(a, max(1, n * n), t, verify=verify, trace=trace)
+    return apsp_minus_zero_one(a, max(1, n * n), verify=verify, trace=trace)

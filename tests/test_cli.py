@@ -370,7 +370,14 @@ def test_unknown_flags_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["gen", "-n", "4", "--threshold", "0.3"], ["gen", "-n", "4", "--verify"], ["bench", "--verify"]]
+    "flags",
+    [
+        ["gen", "-n", "4", "--threshold", "0.3"],
+        ["gen", "-n", "4", "--verify"],
+        ["bench", "--verify"],
+        ["solve", "g.txt", "-t", "0.3"],
+        ["verify", "g.txt", "--threshold", "0"],
+    ],
 )
 def test_flags_a_command_ignores_are_unknown(tmp_path, flags):
     with pytest.raises(SystemExit) as info:
@@ -595,7 +602,7 @@ def test_verify_mismatch_report(tmp_path, capsys, monkeypatch):
     # afresh since this file's imports, so patch and call the current module
     import minmax_apsp.cli as cli_mod
 
-    def corrupted(a, t=0.5, **kwargs):
+    def corrupted(a, **kwargs):
         out = oracle_apsp(a)
         out[0, 1] = 12345.0  # no 8-vertex distance can be this
         return out

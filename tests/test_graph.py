@@ -5,7 +5,6 @@ from minmax_apsp import (
     NEG_INF,
     POS_INF,
     SignedGraph,
-    VerificationError,
     adjacency_from_graph,
     bounded_hop_closure,
     canonical_adjacency,
@@ -224,11 +223,6 @@ def test_one_regular_edgeless():
     assert np.array_equal(one_regular_apsp(a), a)
 
 
-def test_one_regular_verify_flag():
-    with pytest.raises(VerificationError):
-        one_regular_apsp(CHAIN, verify=True)
-
-
 def test_one_regular_matches_oracle_on_one_regular_draws():
     rng = np.random.default_rng(79)
     found = 0
@@ -238,5 +232,5 @@ def test_one_regular_matches_oracle_on_one_regular_draws():
         if not is_delta_regular(a, 1):
             continue
         found += 1
-        assert np.array_equal(one_regular_apsp(a, verify=True), oracle_apsp(a))
+        assert np.array_equal(one_regular_apsp(a), oracle_apsp(a))
     assert found >= 50
