@@ -15,8 +15,10 @@ import numpy as np
 from minmax_apsp import (
     NEG_INF,
     POS_INF,
+    ROUTE_ABSENT,
     ROUTE_HEAVY,
     ROUTE_LIGHT,
+    ROUTE_TARGET_INF,
     RestrictedInstance,
     build_row_index,
     minmax_product,
@@ -44,16 +46,14 @@ product = minmax_product(values, signs)
 goal = np.where(np.isfinite(product), product - rng.integers(0, 2, (n, n)), product)
 instance = RestrictedInstance(values, signs, goal)
 
-index = build_row_index(values, t=0.5)
-print(f"\nn={n}, cutoff ceil(n**0.5) = {index.cutoff}, "
+index = build_row_index(values)
+print(f"\nn={n}, cutoff ceil(sqrt(n)) = {index.cutoff}, "
       f"registered heavy (row, value) pairs: {index.heavy_rows}")
 
-bits, routes = restricted_target_minmax(instance, 0.5, return_routes=True)
-print("heavy-routed entries:", int((routes == ROUTE_HEAVY).sum()))
-print("light-routed entries:", int((routes == ROUTE_LIGHT).sum()))
-
+bits, routes = restricted_target_minmax(instance, return_routes=True)
 reference = target_minmax_naive(values, signs, goal)
 print("matches the naive kernel:", np.array_equal(bits, reference))
-print("same answer at every threshold exponent:",
-      all(np.array_equal(restricted_target_minmax(instance, t), reference)
-          for t in (0, 0.25, 0.75, 1)))
+names = {ROUTE_HEAVY: "heavy", ROUTE_LIGHT: "light",
+         ROUTE_ABSENT: "absent", ROUTE_TARGET_INF: "+inf target"}
+print("entries per route:",
+      ", ".join(f"{name} {int((routes == code).sum())}" for code, name in names.items()))

@@ -31,7 +31,7 @@ for n in (64, 128, 256, 512):
     t_naive, want = best_of(
         lambda: target_minmax_naive(instance.a, instance.b, instance.target)
     )
-    t_fast, got = best_of(lambda: restricted_target_minmax(instance, 0.5))
+    t_fast, got = best_of(lambda: restricted_target_minmax(instance))
     assert np.array_equal(got, want)
     print(f"{n:>5} {t_naive * 1e3:>11.2f} {t_fast * 1e3:>17.2f} {t_fast / t_naive:>6.2f}")
 

@@ -7,8 +7,10 @@ graph at one n of ``SIZES`` (``make_graph`` from ``perfbench/solvebench.py``
 at the default seed's first graph seed).  The oracle (``oracle_apsp``) is timed
 once; the engine (``solve_apsp``) runs once under tracemalloc for its peak,
 which also serves as an untimed warm-up, and then once timed.  The two
-outputs' checksums must agree.  ``--root`` measures the ``src/`` of another
-checkout, such as a parent commit, with this repository's benchmark helpers.
+outputs' checksums must agree: the exit status is 1 when they differ in a row
+this run appended (rows from earlier runs do not count).  ``--root`` measures
+the ``src/`` of another checkout, such as a parent commit, with this
+repository's benchmark helpers.
 """
 
 from __future__ import annotations
@@ -102,13 +104,15 @@ def main(argv=None) -> int:
     bench = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
     bench["description"] = DESCRIPTION
     rows = bench.setdefault("rows", [])
+    agree = True
     for n in SIZES:
         for workload in sb.WORKLOADS:
             row = dict(record, **sweep_row(mods, sb, workload, n))
             print(json.dumps(row), flush=True)
             rows.append(row)
+            agree = agree and row["checksums_agree"]
             OUT.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
-    return 0 if all(row["checksums_agree"] for row in rows) else 1
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from .products import (
     build_heavy_matrix,
     build_row_index,
     minmax_product,
-    occurrence_cutoff,
     restricted_target_minmax,
     target_minmax_naive,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "build_heavy_matrix",
     "build_row_index",
     "minmax_product",
-    "occurrence_cutoff",
     "restricted_target_minmax",
     "target_minmax_naive",
     "LevelTrace",

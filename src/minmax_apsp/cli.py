@@ -1,8 +1,5 @@
 """Command-line front end: generate, solve, verify, run product kernels, bench.
 
-Only ``product`` and ``bench`` take the heavy/light threshold ``-t``: a
-solve's output is the same at every threshold, so a solve runs at the default.
-
 File formats (all UTF-8 text, '\\n' line endings, bit-exact across runs):
 
 * edge list: '#' starts a comment line; first data line is "n m"; then m
@@ -348,7 +345,7 @@ def _cmd_product(args) -> int:
     else:
         # a target that breaks the instance contract raises ValueError: exit 3
         instance = RestrictedInstance(a, b, target)
-        bits = restricted_target_minmax(instance, args.threshold, verify=args.verify)
+        bits = restricted_target_minmax(instance, verify=args.verify)
     _write(args.output, format_matrix(bits))
     return 0
 
@@ -400,9 +397,7 @@ def _cmd_bench(args) -> int:
             "tminmax-naive": lambda: target_minmax_naive(
                 instance.a, instance.b, instance.target
             ),
-            "tminmax-restricted": lambda: restricted_target_minmax(
-                instance, args.threshold
-            ),
+            "tminmax-restricted": lambda: restricted_target_minmax(instance),
         }
         for kernel, call in runs.items():
             best = None
@@ -412,8 +407,8 @@ def _cmd_bench(args) -> int:
                 result = call()
                 elapsed = time.perf_counter_ns() - tic
                 best = elapsed if best is None else min(best, elapsed)
-            rows.append((kernel, n, args.threshold, best, _checksum(result)))
-    lines = ["kernel,n,t,wall_ns,checksum"]
+            rows.append((kernel, n, best, _checksum(result)))
+    lines = ["kernel,n,wall_ns,checksum"]
     lines.extend(",".join(map(str, row)) for row in rows)
     _write(args.output, "\n".join(lines) + "\n")
     return 0
@@ -421,13 +416,6 @@ def _cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _threshold(text):
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {text}")
-    return value
 
 
 def _density(text):
@@ -461,32 +449,18 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def engine_flags(p, threshold=True, verify=True):
-        if threshold:
-            p.add_argument(
-                "--threshold",
-                "-t",
-                type=_threshold,
-                default=0.5,
-                help="heavy/light exponent in [0, 1] for the restricted product",
-            )
-        if verify:
-            p.add_argument(
-                "--verify",
-                action="store_true",
-                help="enable cubic per-stage self-checks",
-            )
+    verify_help = "enable cubic per-stage self-checks"
 
     p = sub.add_parser("solve", help="write the distance matrix of an edge list")
     p.add_argument("input", help="edge-list file")
     p.add_argument("--output", "-o", required=True, help="matrix file to write")
     p.add_argument("--algorithm", choices=("reduction", "oracle"), default="reduction")
-    engine_flags(p, threshold=False)
+    p.add_argument("--verify", action="store_true", help=verify_help)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="solve twice (engine and oracle) and compare")
     p.add_argument("input", help="edge-list file")
-    engine_flags(p, threshold=False)
+    p.add_argument("--verify", action="store_true", help=verify_help)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("product", help="run one product kernel on matrix files")
@@ -495,7 +469,7 @@ def _build_parser():
     p.add_argument("b", help="right matrix file")
     p.add_argument("target", nargs="?", help="target matrix file (tminmax kernels)")
     p.add_argument("--output", "-o", required=True)
-    engine_flags(p)
+    p.add_argument("--verify", action="store_true", help=verify_help)
     p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("gen", help="write a seeded random edge list")
@@ -510,7 +484,6 @@ def _build_parser():
     p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--repeats", type=_positive, default=2)
     p.add_argument("--output", "-o", required=True)
-    engine_flags(p, verify=False)
     p.set_defaults(handler=_cmd_bench)
 
     return parser

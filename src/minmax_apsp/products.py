@@ -5,16 +5,15 @@ product built on top of it (both serve as oracles), and the production target
 product for restricted instances.  That one groups the columns of every row of
 the left matrix by value into one flat (row, value) group index, finds the
 group of every target at once by binary search on the sorted group keys, and
-answers targets in heavy groups (more than ceil(n**t) columns) through one
+answers targets in heavy groups (more than ceil(sqrt(n)) columns) through one
 Boolean matrix product and targets in light groups by scanning the group's few
 columns.  Both target products return (n, n) bool arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Context, Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,34 +53,6 @@ def target_minmax_naive(a, b, target) -> np.ndarray:
     return product == target
 
 
-def occurrence_cutoff(n, t):
-    """Smallest integer m with m >= n**t.
-
-    Found by binary search with an exact integer-power predicate whenever t is
-    a binary rational with denominator <= 64 (which covers every value the
-    tooling uses); otherwise evaluated at 60 significant digits.  Plain
-    ``ceil(n ** t)`` can land on the wrong side of an exact power boundary.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold exponent must lie in [0, 1], got {t}")
-    if n <= 1 or t == 0.0:
-        return 1
-    frac = Fraction(t)
-    if frac.denominator <= 64:
-        p, q = frac.numerator, frac.denominator
-        target = n**p
-        lo, hi = 1, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid**q >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-    power = Context(prec=60).power(Decimal(n), Decimal(t))
-    return int(power.to_integral_value(ROUND_CEILING))
-
-
 @dataclass
 class RowIndex:
     """The (row, value) groups of a matrix: the columns of row i that hold one
@@ -118,14 +89,18 @@ class RowIndex:
         return group
 
 
-def build_row_index(a, t) -> RowIndex:
+def build_row_index(a) -> RowIndex:
     """Group every row's columns by value and mark the groups holding more
-    than ceil(n**t) columns heavy."""
+    than ceil(sqrt(n)) columns heavy.
+
+    The cutoff only balances cost, so the product's answer is the same at
+    every cutoff; this one is the smallest m with m * m >= n, in exact
+    integer arithmetic."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     rows, n = a.shape
-    cutoff = occurrence_cutoff(n, t)
+    cutoff = math.isqrt(n - 1) + 1 if n > 1 else 1
     # a stable sort keeps each group's columns ascending
     order = np.argsort(a, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(a, order, axis=1)
@@ -194,7 +169,6 @@ class RestrictedInstance:
 
 def restricted_target_minmax(
     instance: RestrictedInstance,
-    t=0.5,
     *,
     verify=False,
     return_routes=False,
@@ -209,16 +183,16 @@ def restricted_target_minmax(
     there to +inf, and no finite witness rule applies.  The result is an
     (n, n) bool array.
 
-    ``t`` in [0, 1] positions the heavy/light cutoff at ceil(n**t); the output
-    is the same for every t.  With verify=True the target bound is asserted
-    first (cubic).  With return_routes=True a second (n, n) int8 array of
-    ROUTE_* codes is returned for diagnostics.
+    Groups of more than ceil(sqrt(n)) columns are heavy (``build_row_index``).
+    With verify=True the target bound is asserted first (cubic).  With
+    return_routes=True a second (n, n) int8 array of ROUTE_* codes is returned
+    for diagnostics.
     """
     if verify:
         instance.check_target_bound()
     a, b, target = instance.a, instance.b, instance.target
     n = a.shape[0]
-    index = build_row_index(a, t)
+    index = build_row_index(a)
     b_neg = b == NEG_INF
     f = bool_product(build_heavy_matrix(index), BitMatrix.from_bool(b_neg))
 

@@ -5,8 +5,8 @@ two-hop closure (three Boolean products), solves the halved instance
 recursively, and then recovers the lost parity bit with two restricted
 target products: one against the canonical +1 edges, one against the -1
 edges.  A pair's distance is odd exactly when one of the two products fires.
-The products run at their default heavy/light cutoff: it only balances their
-cost, and a solve's output is the same for every cutoff.
+The products' heavy/light cutoff only balances their cost; no output depends
+on it.
 """
 
 from __future__ import annotations

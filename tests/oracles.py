@@ -109,10 +109,16 @@ def random_signed_adjacency(rng, n, density, loop_prob=0.15):
 
 def random_restricted_instance(rng, n, inf_frac=0.06):
     """A valid restricted target-product instance: b is +/-inf everywhere and
-    the target sits a nonnegative amount below the true min-max product."""
+    the target sits a nonnegative amount below the true min-max product.
+
+    Each row holds a hot value on about half its entries, so its group
+    outgrows the heavy/light cutoff; the other entries are spread over about
+    2n + 3 values and mostly form light groups."""
     from minmax_apsp import RestrictedInstance, minmax_product
 
     a = rng.integers(-n - 1, n + 2, size=(n, n)).astype(np.float64)
+    hot = rng.integers(-n - 1, n + 2, size=(n, 1)).astype(np.float64)
+    a = np.where(rng.random((n, n)) < 0.5, hot, a)
     a[rng.random((n, n)) < inf_frac] = POS_INF
     a[rng.random((n, n)) < inf_frac / 2] = NEG_INF
     b = np.where(rng.random((n, n)) < 0.5, NEG_INF, POS_INF)

@@ -14,6 +14,8 @@ import numpy as np
 from minmax_apsp import (
     NEG_INF,
     POS_INF,
+    ROUTE_HEAVY,
+    ROUTE_LIGHT,
     RecursionTrace,
     SignedGraph,
     adjacency_from_graph,
@@ -89,18 +91,24 @@ def test_end_to_end_differential():
 def test_product_oracle_equivalence():
     rng = np.random.default_rng(20240501)
     instances = 0
-    runs = 0
+    routed = {ROUTE_HEAVY: 0, ROUTE_LIGHT: 0}
     for trial in range(500):
         n = int(rng.integers(2, 65))
         instance = random_restricted_instance(rng, n)
         want = target_minmax_naive(instance.a, instance.b, instance.target)
+        got, routes = restricted_target_minmax(instance, return_routes=True)
+        assert np.array_equal(got, want), (trial, n)
         instances += 1
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            got = restricted_target_minmax(instance, t)
-            assert np.array_equal(got, want), (trial, n, t)
-            runs += 1
+        for route in routed:
+            routed[route] += int((routes == route).any())
     assert instances >= 500
-    report("product oracle equivalence", f"{instances} instances x 5 thresholds, {runs} runs")
+    # both routes of the kernel are under test, not only the light scan
+    assert routed[ROUTE_HEAVY] and routed[ROUTE_LIGHT], routed
+    report(
+        "product oracle equivalence",
+        f"{instances} instances, {routed[ROUTE_HEAVY]} with heavy and "
+        f"{routed[ROUTE_LIGHT]} with light routes",
+    )
 
 
 def test_canonical_invariants():

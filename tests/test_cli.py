@@ -377,6 +377,8 @@ def test_unknown_flags_exit_2(tmp_path):
         ["bench", "--verify"],
         ["solve", "g.txt", "-t", "0.3"],
         ["verify", "g.txt", "--threshold", "0"],
+        ["product", "--kernel", "minmax", "a", "b", "-t", "0.5"],
+        ["bench", "--threshold", "0.5"],
     ],
 )
 def test_flags_a_command_ignores_are_unknown(tmp_path, flags):
@@ -588,6 +590,8 @@ def test_bench_writes_consistent_checksums(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--sizes", "24,40", "--repeats", "1", "-o", str(out)]) == 0
     with open(out, encoding="utf-8") as handle:
+        assert handle.readline() == "kernel,n,wall_ns,checksum\n"
+        handle.seek(0)
         rows = list(csv.DictReader(handle))
     assert {r["kernel"] for r in rows} == {"minmax", "tminmax-naive", "tminmax-restricted"}
     for n in ("24", "40"):

@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minmax_apsp
 from minmax_apsp import cli
 from minmax_apsp import (
     NEG_INF,
@@ -23,7 +18,6 @@ from minmax_apsp import (
     build_heavy_matrix,
     build_row_index,
     minmax_product,
-    occurrence_cutoff,
     restricted_target_minmax,
     target_minmax_naive,
 )
@@ -97,45 +91,14 @@ def test_target_naive_worked_example():
 
 
 # ---------------------------------------------------------------------------
-# occurrence cutoff and the row index
-
-
-def test_cutoff_examples():
-    assert occurrence_cutoff(4, 0.5) == 2
-    assert occurrence_cutoff(10, 1.0) == 10
-    assert occurrence_cutoff(10, 0.0) == 1
-    assert occurrence_cutoff(1, 0.7) == 1
+# the heavy/light cutoff and the row index
 
 
 def test_cutoff_exact_at_power_boundaries():
-    # float pow easily lands on the wrong side of these
-    assert occurrence_cutoff(16, 0.25) == 2
-    assert occurrence_cutoff(1 << 20, 0.5) == 1 << 10
-    assert occurrence_cutoff(27, 1 / 3) == 3 or occurrence_cutoff(27, 1 / 3) == 3
-
-
-def test_cutoff_irrational_denominator_path():
-    # float 1/3 is slightly below a third, so 8**t is slightly below 2
-    assert occurrence_cutoff(8, 1 / 3) == 2
-
-
-def test_cutoff_needs_no_mpmath():
-    # a None entry in sys.modules makes every import of mpmath fail
-    script = (
-        "import sys; sys.modules['mpmath'] = None\n"
-        "from minmax_apsp import occurrence_cutoff\n"
-        "assert occurrence_cutoff(8, 1 / 3) == 2\n"
-    )
-    src = Path(minmax_apsp.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", script], env=env, check=True)
-
-
-def test_cutoff_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        occurrence_cutoff(4, -0.1)
-    with pytest.raises(ValueError):
-        occurrence_cutoff(4, 1.1)
+    # the smallest m with m * m >= n, exact where float sqrt is not
+    cases = {0: 1, 1: 1, 2: 2, 4: 2, 5: 3, 16: 4, 17: 5, 2**20: 2**10, 2**20 + 1: 2**10 + 1}
+    for n, cutoff in cases.items():
+        assert build_row_index(np.zeros((1, n))).cutoff == cutoff, n
 
 
 def group(idx, i, value):
@@ -151,7 +114,7 @@ def heavy_row(idx, i, value):
 
 def test_row_index_heavy_example():
     a = np.array([[4, 4, 4, 1], [1, 2, 3, 4], [5, 5, 6, 6], [0, 0, 0, 0]], dtype=float)
-    idx = build_row_index(a, 0.5)  # cutoff 2
+    idx = build_row_index(a)  # cutoff 2
     assert idx.cutoff == 2
     assert idx.heavy_rows == 2
     assert heavy_row(idx, 0, 4) == 0
@@ -161,24 +124,22 @@ def test_row_index_heavy_example():
     assert group(idx, 1, 5) == -1  # 5 occurs in the matrix, but not in row 1
 
 
-def test_row_index_t_one_never_heavy():
-    a = np.arange(16, dtype=float).reshape(4, 4)
-    idx = build_row_index(a, 1.0)
-    assert idx.heavy_rows == 0
-
-
-def test_row_index_t_zero_pairs_are_heavy():
-    a = np.array([[7, 7, 1, 2]], dtype=float)
-    idx = build_row_index(a, 0.0)
-    assert idx.cutoff == 1
+def test_row_index_heavy_boundary():
+    # n = 16, so the cutoff is 4: a group of 4 columns is light, one of 5 heavy
+    n = 16
+    a = np.arange(2 * n, dtype=float).reshape(2, n)
+    a[0, :4] = a[1, :5] = -1.0
+    idx = build_row_index(a)
+    assert idx.cutoff == 4
     assert idx.heavy_rows == 1
-    assert heavy_row(idx, 0, 7) == 0
-    assert heavy_row(idx, 0, 1) is None
+    assert heavy_row(idx, 0, -1.0) is None
+    assert group(idx, 0, -1.0) >= 0
+    assert heavy_row(idx, 1, -1.0) == 0
 
 
 def test_row_index_is_lexicographic():
     a = np.array([[2, 1, 2, NEG_INF, 1, INF]], dtype=float)
-    idx = build_row_index(a, 0.5)
+    idx = build_row_index(a)
     assert idx.values.tolist() == [NEG_INF, 1, 2, INF]
     assert idx.keys.tolist() == [0, 1, 2, 3]
     assert idx.starts.tolist() == [0, 1, 3, 5, 6]
@@ -188,15 +149,14 @@ def test_row_index_is_lexicographic():
 
 def test_row_index_heavy_count_bound():
     rng = np.random.default_rng(37)
-    for t in (0.0, 0.3, 0.5, 0.8, 1.0):
-        for _ in range(10):
-            n = int(rng.integers(1, 33))
-            a = rng.integers(-3, 4, size=(n, n)).astype(float)
-            idx = build_row_index(a, t)
-            heavy_keys = idx.keys[idx.heavy_id >= 0]
-            per_row = np.bincount(heavy_keys // idx.values.size, minlength=n)
-            assert (per_row <= n / idx.cutoff).all()
-            assert idx.heavy_rows <= n * occurrence_cutoff(n, 1 - t)
+    for _ in range(50):
+        n = int(rng.integers(1, 33))
+        a = rng.integers(-3, 4, size=(n, n)).astype(float)
+        idx = build_row_index(a)
+        heavy_keys = idx.keys[idx.heavy_id >= 0]
+        per_row = np.bincount(heavy_keys // idx.values.size, minlength=n)
+        assert (per_row <= n / idx.cutoff).all()
+        assert idx.heavy_rows <= n * idx.cutoff
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,11 +169,10 @@ def test_row_index_groups_match_the_matrix(data):
     a = np.array(
         data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float
     ).reshape(rows, n)
-    t = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="t")
-    idx = build_row_index(a, t)
+    idx = build_row_index(a)
     h = build_heavy_matrix(idx).to_bool()
     assert h.shape == (idx.heavy_rows, n)
-    assert idx.heavy_rows <= rows * occurrence_cutoff(n, 1 - t)
+    assert idx.heavy_rows <= rows * idx.cutoff
     # keys ascend strictly, so groups run row-major in ascending value order,
     # and heavy ids count up in that order
     assert (np.diff(idx.keys) > 0).all()
@@ -234,13 +193,13 @@ def test_row_index_groups_match_the_matrix(data):
 
 def test_heavy_matrix_empty_registry():
     a = np.arange(9, dtype=float).reshape(3, 3)
-    idx = build_row_index(a, 1.0)
+    idx = build_row_index(a)
     assert build_heavy_matrix(idx).rows == 0
 
 
 def test_heavy_matrix_occurrence_mask():
     a = np.array([[4, 4, 4, 1], [1, 1, 1, 1], [0, 1, 2, 3], [2, 2, 3, 3]], dtype=float)
-    idx = build_row_index(a, 0.5)
+    idx = build_row_index(a)
     h = build_heavy_matrix(idx)
     assert np.array_equal(h.to_bool()[heavy_row(idx, 0, 4)], [1, 1, 1, 0])
     assert np.array_equal(h.to_bool()[heavy_row(idx, 1, 1)], [1, 1, 1, 1])
@@ -249,7 +208,7 @@ def test_heavy_matrix_occurrence_mask():
 def test_heavy_matrix_rows_recount_multiplicities():
     rng = np.random.default_rng(41)
     a = rng.integers(0, 3, size=(8, 8)).astype(float)
-    idx = build_row_index(a, 0.3)
+    idx = build_row_index(a)
     h = build_heavy_matrix(idx).to_bool()
     assert idx.heavy_rows > 0
     for g in np.flatnonzero(idx.heavy_id >= 0):
@@ -309,86 +268,92 @@ def test_restricted_plus_inf_target_with_all_plus_inf_column():
     assert bits(target_minmax_naive(a, b, target)) == [[1]]
 
 
-def test_restricted_matches_naive_across_thresholds():
+def assert_both_routes(routes):
+    """Both routes of the kernel fired across a test's draws."""
+    seen = set(np.unique(np.concatenate([r.ravel() for r in routes])).tolist())
+    assert {ROUTE_HEAVY, ROUTE_LIGHT} <= seen, seen
+
+
+def test_restricted_matches_naive_on_random_instances():
     rng = np.random.default_rng(47)
+    routes = []
     for _ in range(40):
         n = int(rng.integers(1, 33))
         inst = random_restricted_instance(rng, n)
-        want = target_minmax_naive(inst.a, inst.b, inst.target)
-        outputs = [
-            restricted_target_minmax(inst, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
-        for got in outputs:
-            assert np.array_equal(got, want)
+        got, route = restricted_target_minmax(inst, return_routes=True)
+        assert np.array_equal(got, target_minmax_naive(inst.a, inst.b, inst.target))
+        routes.append(route)
+    assert_both_routes(routes)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_restricted_matches_naive_hypothesis(data):
+def test_restricted_matches_naive_hypothesis():
+    routes = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        routes.append(_check_restricted_hypothesis(data))
+
+    check()
+    assert_both_routes(routes)
+
+
+def _check_restricted_hypothesis(data):
     n = data.draw(st.integers(min_value=1, max_value=6), label="n")
-    ints = st.integers(min_value=-4, max_value=4)
-    a = np.array(
-        data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)),
-        dtype=float,
-    )
-    signs = data.draw(
-        st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-    b = np.where(np.array(signs), NEG_INF, INF)
-    slack = np.array(
-        data.draw(
-            st.lists(
-                st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            )
-        ),
-        dtype=float,
-    )
+
+    def square(elements):
+        rows = st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+        return np.array(data.draw(rows))
+
+    a = square(st.integers(min_value=-4, max_value=4)).astype(float)
+    # a value below all others on the drawn entries: where a row holds it
+    # more than cutoff times and a -inf meets it, the target's group is heavy
+    a[square(st.booleans())] = -5.0
+    b = np.where(square(st.booleans()), NEG_INF, INF)
+    slack = square(st.integers(min_value=0, max_value=2)).astype(float)
     product = minmax_product(a, b)
     target = np.where(np.isfinite(product), product - slack, product)
-    inst = RestrictedInstance(a, b, target)
-    t = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="t")
-    assert np.array_equal(
-        restricted_target_minmax(inst, t), target_minmax_naive(a, b, target)
+    got, routes = restricted_target_minmax(
+        RestrictedInstance(a, b, target), return_routes=True
     )
+    assert np.array_equal(got, target_minmax_naive(a, b, target))
+    return routes
 
 
 def test_restricted_routes_partition_entries():
     rng = np.random.default_rng(53)
+    seen = []
     for _ in range(15):
         n = int(rng.integers(2, 25))
         inst = random_restricted_instance(rng, n)
-        for t in (0.0, 0.5, 1.0):
-            result, routes = restricted_target_minmax(inst, t, return_routes=True)
-            cutoff = build_row_index(inst.a, t).cutoff
-            for i in range(n):
-                row = inst.a[i]
-                for j in range(n):
-                    value = inst.target[i, j]
-                    count = int((row == value).sum())
-                    if value == INF:
-                        expected = ROUTE_TARGET_INF
-                    elif count == 0:
-                        expected = ROUTE_ABSENT
-                    elif count > cutoff:
-                        expected = ROUTE_HEAVY
-                    else:
-                        expected = ROUTE_LIGHT
-                    assert routes[i, j] == expected
-                    if expected == ROUTE_ABSENT:
-                        assert not result[i, j]
+        result, routes = restricted_target_minmax(inst, return_routes=True)
+        cutoff = build_row_index(inst.a).cutoff
+        for i in range(n):
+            row = inst.a[i]
+            for j in range(n):
+                value = inst.target[i, j]
+                count = int((row == value).sum())
+                if value == INF:
+                    expected = ROUTE_TARGET_INF
+                elif count == 0:
+                    expected = ROUTE_ABSENT
+                elif count > cutoff:
+                    expected = ROUTE_HEAVY
+                else:
+                    expected = ROUTE_LIGHT
+                assert routes[i, j] == expected
+                if expected == ROUTE_ABSENT:
+                    assert not result[i, j]
+        seen.append(routes)
+    assert_both_routes(seen)
 
 
 def _check_restricted_at_bench_size(n):
     for seed in (0, 1):
         inst = cli._bench_instance(n, seed)
-        want = target_minmax_naive(inst.a, inst.b, inst.target)
-        for t in (0.0, 0.5, 1.0):
-            got, routes = restricted_target_minmax(inst, t, return_routes=True)
-            assert np.array_equal(got, want)
-            assert t == 1.0 or (routes == ROUTE_HEAVY).any()
-            assert t == 0.0 or (routes == ROUTE_LIGHT).any()
+        got, routes = restricted_target_minmax(inst, return_routes=True)
+        assert np.array_equal(got, target_minmax_naive(inst.a, inst.b, inst.target))
+        assert_both_routes([routes])
 
 
 def test_restricted_matches_naive_at_bench_size():
@@ -400,15 +365,13 @@ def test_restricted_matches_naive_at_smaller_bench_sizes(n):
     _check_restricted_at_bench_size(n)
 
 
-def test_restricted_memory_with_n_squared_distinct_values():
-    # every entry of a is its own value, so the matrix has n**2 values; an
-    # index with a row per (row, value) pair of the whole matrix would be n**3
-    n = 512
-    rng = np.random.default_rng(59)
-    a = rng.permutation(n * n).reshape(n, n).astype(float)
+def _check_restricted_memory(a, rng):
+    """The restricted product on ``a`` stays under a 64 MiB tracemalloc peak
+    and flags exactly the targets that equal a row minimum met by a -inf."""
+    n = a.shape[0]
     b = np.where(rng.random((n, n)) < 0.5, NEG_INF, INF)
     # a row's minimum never exceeds the product; one below it occurs nowhere
-    row_min = np.broadcast_to(a.min(axis=1)[:, None], (n, n))
+    row_min = a.min(axis=1)[:, None]
     target = row_min - (rng.random((n, n)) < 0.5)
     inst = RestrictedInstance(a, b, target)
     tracemalloc.start()
@@ -418,6 +381,25 @@ def test_restricted_memory_with_n_squared_distinct_values():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    # the only column holding the row minimum must meet a -inf in b
-    want = (target == row_min) & (b[a.argmin(axis=1)] == NEG_INF)
-    assert np.array_equal(got, want)
+    witness = (a == row_min).astype(np.float32) @ (b == NEG_INF).astype(np.float32)
+    assert np.array_equal(got, (target == row_min) & (witness > 0))
+
+
+def test_restricted_memory_with_n_squared_distinct_values():
+    # every entry of a is its own value, so the matrix has n**2 values; an
+    # index with a row per (row, value) pair of the whole matrix would be n**3
+    n = 512
+    rng = np.random.default_rng(59)
+    _check_restricted_memory(rng.permutation(n * n).reshape(n, n).astype(float), rng)
+
+
+def test_restricted_memory_with_the_most_heavy_rows():
+    # every row splits into groups of cutoff + 1 columns, the smallest heavy
+    # size, so the heavy matrix has as many rows as the cutoff allows:
+    # 21 per row, 10 752 in all at n = 512
+    n = 512
+    rng = np.random.default_rng(61)
+    cutoff = build_row_index(np.zeros((1, n))).cutoff
+    a = np.array([rng.permutation(np.arange(n) // (cutoff + 1)) for _ in range(n)])
+    assert build_row_index(a).heavy_rows == 21 * n
+    _check_restricted_memory(a.astype(float), rng)
