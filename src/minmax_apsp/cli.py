@@ -20,6 +20,7 @@ violated product precondition in verification mode).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -283,6 +284,21 @@ SOLVE_BYTES_PER_ENTRY = 192
 GEN_BYTES_PER_PAIR = 24
 GEN_BYTES_PER_EDGE = 168
 
+# Peak bytes per n**2 of `bench` at one size (tracemalloc, through `bench`):
+# 118 / 118 / 120 at n = 256 / 512 / 1024, mostly the instance and its
+# min-max product.  The first command of a process also imports about
+# 1.3 MiB of modules once (numpy.ma among them), which no bound counts.
+BENCH_BYTES_PER_ENTRY = 128
+
+# Peak bytes of `product` (tracemalloc, parsing included): 117 to 118 per
+# n**2 on bench instances at n = 256 / 512 / 1024, plus the restricted
+# kernel's heavy matrix H and F = H.B'.  A row holds at most isqrt(n) heavy
+# groups, so each of those has at most n**2 * isqrt(n) entries; the
+# most-heavy case, rows split into groups of cutoff + 1 columns, peaks at
+# 176 / 190 / 132 per n**2.
+PRODUCT_BYTES_PER_ENTRY = 128
+PRODUCT_BYTES_PER_HEAVY_ENTRY = 4
+
 
 def _read_adjacency(path, *, engine, verify=False) -> np.ndarray:
     """The adjacency of an edge list, refused (exit 3) before it is built
@@ -335,6 +351,11 @@ def _cmd_product(args) -> int:
     if args.kernel != "minmax" and args.target is None:
         raise ParseError(f"kernel {args.kernel} needs a target matrix file")
     a = parse_matrix(_read(args.a))
+    n = max(a.shape)
+    per_entry = PRODUCT_BYTES_PER_ENTRY + PRODUCT_BYTES_PER_HEAVY_ENTRY * math.isqrt(n)
+    _refuse_beyond_memory(
+        per_entry * n**2, f"a product of n={n} at {per_entry} bytes per entry"
+    )
     b = parse_matrix(_read(args.b))
     if args.kernel == "minmax":
         _write(args.output, format_matrix(minmax_product(a, b)))
@@ -386,9 +407,11 @@ def _bench_instance(n, seed) -> RestrictedInstance:
 
 
 def _cmd_bench(args) -> int:
-    for n in args.sizes:
-        # the first array _bench_instance builds: four stream positions per entry
-        _refuse_beyond_memory(32 * n * n, f"a bench instance of n={n}")
+    n = max(args.sizes)
+    _refuse_beyond_memory(
+        BENCH_BYTES_PER_ENTRY * n**2,
+        f"a bench of n={n} at {BENCH_BYTES_PER_ENTRY} bytes per entry",
+    )
     rows = []
     for n in args.sizes:
         instance = _bench_instance(n, args.seed)

@@ -5,6 +5,10 @@ the two infinities are numpy's ``inf``/``-inf``.  ``+inf`` encodes "no edge /
 no walk" and ``-inf`` encodes "arbitrarily short" (negative-cycle influence).
 Finite values stay far inside the exact-integer range of float64, so every
 comparison and sum below is exact.
+
+Boolean matrices are plain bool ndarrays as well: ``bool_product`` and
+``bool_closure`` return them.  Only ``bool_product``'s two operands come
+packed, as ``BitMatrix`` bytes.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ import numpy as np
 
 POS_INF = math.inf
 NEG_INF = -math.inf
-
-_WORD_BITS = 64
-# packbits/unpackbits write byte 0 first, so the words are little-endian uint64
-_WORD_DTYPE = np.dtype("<u8")
 
 
 class VerificationError(RuntimeError):
@@ -105,8 +105,11 @@ def bounded_hop_closure(a, hops):
 
 
 class BitMatrix:
-    """Dense 0/1 matrix with each row packed into 64-bit words (bit j of word
-    w holds column 64*w + j).  Padding bits past ``cols`` are always zero."""
+    """A 0/1 operand of ``bool_product``, each row packed by ``np.packbits``
+    into bytes (bit j of byte w holds column 8*w + j; padding bits past
+    ``cols`` are zero).  Operands stay packed only because the benchmark's
+    tracer counts their set bits from ``words``; every result is a plain bool
+    array."""
 
     __slots__ = ("rows", "cols", "words")
 
@@ -120,31 +123,11 @@ class BitMatrix:
         array = np.asarray(array, dtype=bool)
         if array.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {array.shape}")
-        rows, cols = array.shape
-        nwords = (cols + _WORD_BITS - 1) // _WORD_BITS
-        packed = np.packbits(array, axis=1, bitorder="little")
-        buffer = np.zeros((rows, nwords * 8), dtype=np.uint8)
-        buffer[:, : packed.shape[1]] = packed
-        return cls(rows, cols, buffer.view(_WORD_DTYPE))
+        return cls(*array.shape, np.packbits(array, axis=1, bitorder="little"))
 
     def to_bool(self) -> np.ndarray:
-        as_bytes = np.ascontiguousarray(self.words, dtype=_WORD_DTYPE).view(np.uint8)
-        bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-        return bits[:, : self.cols].view(bool)
-
-    def __eq__(self, other):
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and np.array_equal(self.words, other.words)
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BitMatrix({self.rows}x{self.cols})"
+        bits = np.unpackbits(self.words, axis=1, count=self.cols, bitorder="little")
+        return bits.view(bool)
 
 
 # float32 elements per block of the left operand, so the block and its product
@@ -152,29 +135,33 @@ class BitMatrix:
 _BLOCK_ELEMENTS = 1 << 22
 
 
-def bool_product(p: BitMatrix, q: BitMatrix) -> BitMatrix:
-    """Boolean matrix product: one float32 BLAS product of the 0/1 matrices
-    per block of ``p``'s rows.  A float sum of nonnegative terms is positive
-    iff some term is, in any order, so ``> 0`` is exact for any BLAS."""
+def bool_product(p: BitMatrix, q: BitMatrix) -> np.ndarray:
+    """Boolean matrix product as a C-contiguous (p.rows, q.cols) bool array:
+    one float32 BLAS product of the 0/1 matrices per block of ``p``'s rows.
+    A float sum of nonnegative terms is positive iff some term is, in any
+    order, so ``> 0`` is exact for any BLAS."""
     if p.cols != q.rows:
         raise ValueError(f"dimension mismatch: {p.cols} vs {q.rows}")
     right = q.to_bool().astype(np.float32)
     block = max(1, _BLOCK_ELEMENTS // max(p.cols, q.cols, 1))
-    out = np.empty((p.rows, q.words.shape[1]), dtype=_WORD_DTYPE)
+    out = np.empty((p.rows, q.cols), dtype=bool)
     for start in range(0, p.rows, block):
         words = p.words[start : start + block]
         left = BitMatrix(words.shape[0], p.cols, words).to_bool().astype(np.float32)
-        out[start : start + block] = BitMatrix.from_bool(left @ right > 0).words
-    return BitMatrix(p.rows, q.cols, out)
+        np.greater(left @ right, 0, out=out[start : start + block])
+    return out
 
 
-def bool_closure(p: BitMatrix) -> BitMatrix:
-    """Reflexive-transitive closure of a square 0/1 relation (repeated squaring)."""
-    if p.rows != p.cols:
-        raise ValueError(f"closure needs a square matrix, got {p.rows}x{p.cols}")
-    current = BitMatrix.from_bool(p.to_bool() | np.eye(p.rows, dtype=bool))
+def bool_closure(relation) -> np.ndarray:
+    """Reflexive-transitive closure of a square bool relation, by repeated
+    squaring until the square stops changing."""
+    relation = np.asarray(relation, dtype=bool)
+    if relation.ndim != 2 or relation.shape[0] != relation.shape[1]:
+        raise ValueError(f"closure needs a square matrix, got shape {relation.shape}")
+    current = relation | np.eye(relation.shape[0], dtype=bool)
     while True:
-        squared = bool_product(current, current)
-        if squared == current:
+        packed = BitMatrix.from_bool(current)
+        squared = bool_product(packed, packed)
+        if np.array_equal(squared, current):
             return current
         current = squared

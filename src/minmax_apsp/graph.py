@@ -99,15 +99,16 @@ def canonical_adjacency(a) -> np.ndarray:
         k = np.argwhere((diag != 0) & (diag != -1))[0][0]
         raise ValueError(f"a[{k}, {k}] = {a[k, k]} breaks the diagonal convention")
 
-    zero_reach = bool_closure(BitMatrix.from_bool((a == 0) & off))
+    zero_reach = bool_closure((a == 0) & off)
     # both weights in two products: Z*.[N | P], then [Z*N ; Z*P].Z*
+    reach = BitMatrix.from_bool(zero_reach)
     signed = BitMatrix.from_bool(np.hstack([a == -1, a == 1]))
-    span = bool_product(zero_reach, signed).to_bool()
+    span = bool_product(reach, signed)
     stacked = BitMatrix.from_bool(np.vstack([span[:, :n], span[:, n:]]))
-    composite = bool_product(stacked, zero_reach).to_bool()
+    composite = bool_product(stacked, reach)
     c = np.full((n, n), POS_INF)
     c[composite[n:]] = 1.0
-    c[zero_reach.to_bool()] = 0.0  # includes the reflexive diagonal
+    c[zero_reach] = 0.0  # includes the reflexive diagonal
     c[composite[:n]] = -1.0
     return c
 
@@ -136,5 +137,5 @@ def one_regular_apsp(a) -> np.ndarray:
         finite = a < POS_INF
         into = BitMatrix.from_bool(finite[:, looped])
         outof = BitMatrix.from_bool(finite[looped, :])
-        out[bool_product(into, outof).to_bool()] = NEG_INF
+        out[bool_product(into, outof)] = NEG_INF
     return out

@@ -145,6 +145,11 @@ class RestrictedInstance:
         target = np.asarray(self.target, dtype=np.float64)
         if target.shape != a.shape:
             raise ValueError(f"dimension mismatch: target {target.shape} vs {a.shape}")
+        for name, matrix in (("a", a), ("target", target)):
+            nan = np.isnan(matrix)
+            if nan.any():
+                i, j = np.argwhere(nan)[0]
+                raise ValueError(f"{name}[{i}, {j}] is nan, not an extended integer")
         if not ((b == POS_INF) | (b == NEG_INF)).all():
             bad = np.argwhere((b != POS_INF) & (b != NEG_INF))[0]
             raise ValueError(
@@ -205,7 +210,8 @@ def restricted_target_minmax(
     light = (group >= 0) & (heavy_id < 0)
 
     out = target_inf.copy()
-    out[queries[heavy]] = f.to_bool()[heavy_id[heavy], qj[heavy]]
+    out[queries[heavy]] = f[heavy_id[heavy], qj[heavy]]
+    del f
     # scan each light group, retiring queries as they hit or exhaust it
     b_neg_flat = b_neg.ravel()
     live_q, live_j = queries[light], qj[light]

@@ -61,7 +61,7 @@ def two_hop_target(canonical) -> np.ndarray:
 
     # looked up on extmat, so that perfbench's tracer counts these products
     def product(p, q):
-        return extmat.bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q)).to_bool()
+        return extmat.bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
 
     halved = np.full(c.shape, POS_INF)
     halved[product(finite, finite)] = 1.0

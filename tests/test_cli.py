@@ -491,6 +491,31 @@ def test_gen_refusal_counts_the_edges_it_builds(tmp_path, monkeypatch, density, 
     assert cli.main(argv) == code
 
 
+def test_bench_refuses_beyond_its_measured_peak(tmp_path, monkeypatch):
+    # 16 MiB holds the 8 MiB of random draws of n = 512, but not a bench of it
+    cli = cli_with_memory(monkeypatch, 16)
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("a bench instance was built")
+
+    monkeypatch.setattr(cli, "_bench_instance", no_instance)
+    assert cli.main(["bench", "--sizes", "64,512", "-o", str(tmp_path / "b.csv")]) == 3
+
+
+@pytest.mark.parametrize("n, code", [(32, 0), (128, 3)])
+def test_product_refuses_beyond_its_measured_peak(tmp_path, monkeypatch, n, code):
+    # the bound counts the heavy rows: (128 + 4 * isqrt(n)) bytes per entry,
+    # 148 KiB at n = 32 and 2.7 MiB at n = 128
+    cli = cli_with_memory(monkeypatch, 1)
+    zeros = format_matrix(np.zeros((n, n)))
+    paths = [tmp_path / f"{name}.txt" for name in "abt"]
+    paths[0].write_text(zeros, encoding="utf-8")
+    paths[1].write_text(format_matrix(np.full((n, n), NEG_INF)), encoding="utf-8")
+    paths[2].write_text(zeros, encoding="utf-8")
+    argv = ["product", "--kernel", "tminmax-restricted", *map(str, paths)]
+    assert cli.main([*argv, "-o", str(tmp_path / "c.txt")]) == code
+
+
 def test_product_minmax(tmp_path):
     a = np.array([[1, 3], [2, 0]], dtype=float)
     b = np.array([[2, NEG_INF], [INF, 1]], dtype=float)

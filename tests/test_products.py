@@ -227,6 +227,20 @@ def test_restricted_instance_rejects_finite_b():
         RestrictedInstance(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("where", ["a", "target"])
+def test_restricted_instance_rejects_nan(where):
+    # nan is no extended integer: with it in a, the restricted kernel answered
+    # True where the naive kernel answers False
+    matrices = {
+        "a": np.zeros((2, 2)),
+        "b": np.full((2, 2), NEG_INF),
+        "target": np.zeros((2, 2)),
+    }
+    matrices[where][1, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"{where}\[1, 0\] is nan"):
+        RestrictedInstance(**matrices)
+
+
 def test_restricted_instance_target_bound_check():
     a = np.array([[1.0]])
     b = np.array([[NEG_INF]])
