@@ -3,7 +3,9 @@
 
 Each level halves every distance (rounding toward +inf) by solving the
 two-hop closure of the canonical graph, so the hop budget delta shrinks from
-n^2 down to 1 in ceil(log2(n^2)) steps.  Coming back up, two target products
+n^2 down to 1 in ceil(log2(n^2)) steps.  Once a level's halving returns its
+own canonical matrix, the deeper levels would only repeat it: they are
+skipped and listed as reused.  Coming back up, two target products
 decide each pair's parity: did some shortest path end on a +1 edge, or on a
 -1 edge, at odd total weight?
 """
@@ -28,10 +30,10 @@ trace = RecursionTrace()
 star = solve_apsp(a, verify=True, trace=trace)  # verify re-checks every level
 print(f"solved n={n} with per-level verification, depth {trace.depth}\n")
 
-print(f"{'level':>5} {'n':>4} {'delta':>6} {'canonical':>10} {'two-hop':>8} "
-      f"{'products':>9} {'assembly':>9}")
+print(f"{'level':>5} {'n':>4} {'delta':>6} {'reused':>6} {'canonical':>10} "
+      f"{'two-hop':>8} {'products':>9} {'assembly':>9}")
 for k, lv in enumerate(trace.levels):
-    print(f"{k:>5} {lv.n:>4} {lv.delta:>6} {lv.canonical_s:>10.4f} "
+    print(f"{k:>5} {lv.n:>4} {lv.delta:>6} {str(lv.reused):>6} {lv.canonical_s:>10.4f} "
           f"{lv.two_hop_s:>8.4f} {lv.products_s:>9.4f} {lv.assembly_s:>9.4f}")
 
 # the halving law, shown concretely for the first level

@@ -1,16 +1,17 @@
 """Engine and oracle over a size sweep, appended as rows to BENCH_solve.json.
 
-    python3 scripts/solve_sweep.py --label change [--root CHECKOUT]
+    python3 scripts/solve_sweep.py --label change [--root CHECKOUT] [--sizes N ...]
 
 Run from the repository root.  Every row is one workload's first benchmark
-graph at one n of ``SIZES`` (``make_graph`` from ``perfbench/solvebench.py``
-at the default seed's first graph seed).  The oracle (``oracle_apsp``) is timed
-once; the engine (``solve_apsp``) runs once under tracemalloc for its peak,
-which also serves as an untimed warm-up, and then once timed.  The two
-outputs' checksums must agree: the exit status is 1 when they differ in a row
-this run appended (rows from earlier runs do not count).  ``--root`` measures
-the ``src/`` of another checkout, such as a parent commit, with this
-repository's benchmark helpers.
+graph at one n of ``SIZES`` or ``--sizes`` (``make_graph`` from
+``perfbench/solvebench.py`` at the default seed's first graph seed).  The
+oracle (``oracle_apsp``) is timed once; the engine (``solve_apsp``) runs once
+under tracemalloc for its peak and its recursion trace (levels run and
+reused), which also serves as an untimed warm-up, and then once timed.  The
+two outputs' checksums must agree: the exit status is 1 when they differ in
+a row this run appended (rows from earlier runs do not count).  ``--root``
+measures the ``src/`` of another checkout, such as a parent commit, with
+this repository's benchmark helpers.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 OUT = ROOT / "BENCH_solve.json"
-SIZES = (256, 512, 1024)
+SIZES = (256, 512, 1024, 2048)
 DESCRIPTION = (
     "solve_apsp against oracle_apsp on the first graph of each benchmark "
     "workload (perfbench/solvebench.py make_graph) at several n; written by "
     "scripts/solve_sweep.py. peak_mib is the tracemalloc peak of one solve "
     "(the input adjacency excluded), solve_s one timed solve after it, "
-    "oracle_s one Floyd-Warshall run."
+    "oracle_s one Floyd-Warshall run. levels counts the RecursionTrace "
+    "entries of the traced solve, reused_levels those its fixed-point skip "
+    "reused (0 for versions without the skip)."
 )
 
 
@@ -57,12 +60,15 @@ def sweep_row(mods, sb, workload, n):
     seed = sb.graph_seeds(sb.DEFAULT_SEED)[0]
     a = mods.adjacency_from_graph(sb.make_graph(mods, workload, n, seed))
     want, oracle_s = _timed(lambda: mods.oracle_apsp(a))
+    trace = mods.RecursionTrace()
     tracemalloc.start()
     try:
-        mods.solve_apsp(a)
+        mods.solve_apsp(a, trace=trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # a LevelTrace from before the fixed-point skip has no reused field
+    reused = sum(getattr(level, "reused", False) for level in trace.levels)
     got, solve_s = _timed(lambda: mods.solve_apsp(a))
     engine, oracle = sb.checksum(got), sb.checksum(want)
     return {
@@ -73,6 +79,8 @@ def sweep_row(mods, sb, workload, n):
         "peak_bytes_per_n2": round(peak / n**2, 1),
         "solve_s": round(solve_s, 3),
         "oracle_s": round(oracle_s, 3),
+        "levels": trace.depth,
+        "reused_levels": reused,
         "engine_checksum": engine,
         "oracle_checksum": oracle,
         "checksums_agree": engine == oracle,
@@ -83,6 +91,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="name of the measured version")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="values of n")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(PERFBENCH))
@@ -105,7 +114,7 @@ def main(argv=None) -> int:
     bench["description"] = DESCRIPTION
     rows = bench.setdefault("rows", [])
     agree = True
-    for n in SIZES:
+    for n in args.sizes:
         for workload in sb.WORKLOADS:
             row = dict(record, **sweep_row(mods, sb, workload, n))
             print(json.dumps(row), flush=True)

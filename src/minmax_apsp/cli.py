@@ -185,8 +185,11 @@ def _format_entry(value) -> str:
 
 def format_matrix(matrix) -> str:
     matrix = np.asarray(matrix, dtype=np.float64)
+    # each distinct value is formatted once, then looked up per entry
+    values, inverse = np.unique(matrix, return_inverse=True)
+    words = np.array([_format_entry(v) for v in values], dtype=object)
     lines = ["{} {}".format(*matrix.shape)]
-    lines.extend(" ".join(_format_entry(v) for v in row) for row in matrix)
+    lines.extend(" ".join(row) for row in words[inverse.reshape(matrix.shape)].tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -212,7 +215,7 @@ def parse_matrix(text) -> np.ndarray:
     number, (rows, cols) = _header(lines, "matrix", "r c")
     if rows < 0 or cols < 0:
         raise ParseError(f"line {number}: negative count in header '{rows} {cols}'")
-    values = []
+    values = []  # one float64 array per row read, 8 bytes per entry
     for number, line in lines:
         if len(values) == rows:
             raise ParseError(f"line {number}: more than {rows} matrix rows")
@@ -221,7 +224,7 @@ def parse_matrix(text) -> np.ndarray:
             raise ParseError(
                 f"line {number}: expected {cols} entries, got {len(tokens)}"
             )
-        values.append([_parse_entry(tok, number) for tok in tokens])
+        values.append(np.array([_parse_entry(tok, number) for tok in tokens]))
     # the r rows of an r x 0 matrix are blank lines, so there are none to count
     if cols and len(values) != rows:
         raise ParseError(f"expected {rows} matrix rows, found {len(values)}")
@@ -272,10 +275,10 @@ def _refuse_beyond_memory(nbytes, what):
 
 # Peak bytes per n**2 of one engine solve with verify off (tracemalloc,
 # through `solve`).  A solve has one configuration, so this bounds every
-# solve.  The largest measured is 156, on unit-cli at n = 1024; a `gen` graph
-# of the default density 0.3 reads 135 / 140 / 137 at n = 256 / 512 / 1024.
-# The unit-cli peak still rises with n (85, 130 and 146 for solve_apsp alone,
-# BENCH_solve.json) as more pairs become finite, hence the headroom.
+# solve.  The largest measured is 141, on unit-cli at n = 1024, and 139 there
+# at n = 2048 (131 for solve_apsp alone at both, BENCH_solve.json); a `gen`
+# graph of the default density 0.3 reads 140 / 120 / 119 at n = 256 / 512 /
+# 1024.
 SOLVE_BYTES_PER_ENTRY = 192
 
 # Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)

@@ -85,7 +85,8 @@ def canonical_adjacency(a) -> np.ndarray:
     Maximal zero-edge runs are closed transitively; each nonzero edge is then
     composed with zero runs on both sides, and coinciding candidates keep the
     minimum weight.  Distances are preserved because every composite edge is
-    the weight of a real path.
+    the weight of a real path.  Rewiring is idempotent: it maps its own
+    output to itself.
     """
     a = as_square(a)
     n = a.shape[0]
@@ -99,7 +100,11 @@ def canonical_adjacency(a) -> np.ndarray:
         k = np.argwhere((diag != 0) & (diag != -1))[0][0]
         raise ValueError(f"a[{k}, {k}] = {a[k, k]} breaks the diagonal convention")
 
-    zero_reach = bool_closure((a == 0) & off)
+    zero_edges = (a == 0) & off
+    if not zero_edges.any():
+        # Z* = I, so both composites are a itself (+ 0.0 turns -0.0 into 0.0)
+        return a + 0.0
+    zero_reach = bool_closure(zero_edges)
     # both weights in two products: Z*.[N | P], then [Z*N ; Z*P].Z*
     reach = BitMatrix.from_bool(zero_reach)
     signed = BitMatrix.from_bool(np.hstack([a == -1, a == 1]))

@@ -6,7 +6,8 @@ recursively, and then recovers the lost parity bit with two restricted
 target products: one against the canonical +1 edges, one against the -1
 edges.  A pair's distance is odd exactly when one of the two products fires.
 The products' heavy/light cutoff only balances their cost; no output depends
-on it.
+on it.  Once a level's halving returns its own canonical matrix, every deeper
+level would repeat it, so the recursion goes straight to delta = 1.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from .products import RestrictedInstance, restricted_target_minmax
 
 @dataclass
 class LevelTrace:
-    """Size, hop budget, and stage timings for one recursion level."""
+    """Size, hop budget, and stage timings for one recursion level; a reused
+    level was skipped because it would repeat the level above it."""
 
     n: int
     delta: int
+    reused: bool = False
     canonical_s: float = 0.0
     two_hop_s: float = 0.0
     recursion_s: float = 0.0
@@ -106,11 +109,20 @@ def apsp_minus_zero_one(a, delta, *, verify=False, trace=None) -> np.ndarray:
     """Exact distances for a delta-regular {-1, 0, 1} adjacency matrix.
 
     delta=1 solves directly; otherwise the instance is rewired canonically,
-    halved, recursed with ceil(delta/2), and reassembled from the parity
-    products.  verify=True re-derives every level against the brute-force
+    halved, recursed with ceil(delta/2) (or 1, see below), and reassembled
+    from the parity products.  verify=True re-derives every level against the brute-force
     oracle (regularity, the halving law, the product bounds, the parity law,
     and the final distances) at cubic cost per level.  Pass a RecursionTrace
     to collect per-level sizes and timings.
+
+    The fixed-point skip: when a level's halved matrix equals its canonical
+    matrix, it recurses with delta = 1.  This is exact because
+    canonical_adjacency is idempotent: every deeper level would get this same
+    matrix, rewire it to itself and halve it to itself until delta reached 1,
+    so the base case sees exactly the matrix it would have seen without the
+    skip (and verify=True still checks that it is 1-regular).  The trace
+    keeps one reused LevelTrace per skipped delta, so its depth and deltas
+    are those of the full recursion.
 
     Across its recursive call a level holds only an (n, n) int8 matrix of
     the canonical edge signs, which is all that its parity masks read: its
@@ -151,6 +163,7 @@ def apsp_minus_zero_one(a, delta, *, verify=False, trace=None) -> np.ndarray:
     # callee's frame, and the callee drops it once rewired.
     halved = [two_hop_target(canonical)]
     level.two_hop_s = time.perf_counter() - tic
+    repeat = np.array_equal(halved[0], canonical)
 
     if verify:
         if not np.array_equal(oracle_apsp(canonical), star):
@@ -164,9 +177,16 @@ def apsp_minus_zero_one(a, delta, *, verify=False, trace=None) -> np.ndarray:
     signs[canonical == -1] = -1
     del canonical
 
+    next_delta = (delta + 1) // 2
+    if repeat:
+        while trace is not None and next_delta > 1:
+            trace.levels.append(LevelTrace(n=level.n, delta=next_delta, reused=True))
+            next_delta = (next_delta + 1) // 2
+        next_delta = 1
+
     tic = time.perf_counter()
     halved_star = apsp_minus_zero_one(
-        halved.pop(), (delta + 1) // 2, verify=verify, trace=trace
+        halved.pop(), next_delta, verify=verify, trace=trace
     )
     level.recursion_s = time.perf_counter() - tic
 

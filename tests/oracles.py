@@ -59,6 +59,21 @@ def warshall_closure(relation):
     return r
 
 
+def naive_canonical(a):
+    """Canonical rewiring off its definition: the zero-run closure Z*, then
+    -1 where Z* N Z* is set, else 0 on Z*, else 1 where Z* P Z* is set."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    reach = warshall_closure((a == 0) & ~np.eye(n, dtype=bool))
+    negative = naive_bool_product(naive_bool_product(reach, a == -1), reach)
+    positive = naive_bool_product(naive_bool_product(reach, a == 1), reach)
+    out = np.full((n, n), POS_INF)
+    out[positive] = 1.0
+    out[reach] = 0.0
+    out[negative] = -1.0
+    return out
+
+
 def walk_dp(a, hops):
     """Minimum walk weight using at most ``hops`` edges, stepping one edge at
     a time from the empty walk."""

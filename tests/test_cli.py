@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import minmax_apsp
 from minmax_apsp import NEG_INF, POS_INF, minmax_product, oracle_apsp, target_minmax_naive
 from minmax_apsp.cli import (
     InvalidInputError,
     ParseError,
+    _format_entry,
     format_edge_list,
     format_matrix,
     gen_random_graph,
@@ -134,6 +136,38 @@ def test_matrix_parse_errors():
         parse_matrix("2 1\n3\n")
     with pytest.raises(ParseError):
         parse_matrix("2 0\n3\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -3.0, INF, NEG_INF, 2.0**53, -(2.0**53)]),
+    )
+)
+def test_format_matrix_matches_per_entry_formatting(m):
+    rows = [" ".join(_format_entry(v) for v in row) for row in m]
+    assert format_matrix(m) == "\n".join(["{} {}".format(*m.shape)] + rows) + "\n"
+
+
+def test_parse_matrix_holds_float64_rows():
+    # nested lists of Python floats peaked at 35 bytes per entry here;
+    # float64 rows and their one stacked copy peak at 16
+    n = 512
+    rng = np.random.default_rng(5)
+    m = rng.integers(-999, 1000, size=(n, n)).astype(float)
+    m[rng.random((n, n)) < 0.2] = INF
+    m[rng.random((n, n)) < 0.05] = NEG_INF
+    text = format_matrix(m)
+    tracemalloc.start()
+    try:
+        parsed = parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(parsed, m)
+    assert peak < 20 * n * n
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (3, 3)])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from minmax_apsp import (
     NEG_INF,
@@ -13,7 +16,7 @@ from minmax_apsp import (
     one_regular_apsp,
     oracle_apsp,
 )
-from oracles import bellman_ford_apsp, random_signed_adjacency
+from oracles import bellman_ford_apsp, naive_canonical, random_signed_adjacency
 
 INF = POS_INF
 
@@ -123,6 +126,26 @@ def test_canonical_rejects_out_of_range_entries():
     bad[1, 1] = 1
     with pytest.raises(ValueError):
         canonical_adjacency(bad)
+
+
+@st.composite
+def adjacencies(draw, weights=(-1.0, 0.0, 1.0, INF)):
+    """Off-diagonal entries from ``weights``; the diagonal 0, -0.0 or -1."""
+    n = draw(st.integers(0, 8))
+    a = draw(arrays(float, (n, n), elements=st.sampled_from(weights)))
+    a[np.diag_indices(n)] = draw(arrays(float, n, elements=st.sampled_from([0.0, -0.0, -1.0])))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(adjacencies(), adjacencies(weights=(-1.0, 1.0, INF))))
+def test_canonical_matches_its_definition_and_is_idempotent(a):
+    # the second strategy has no zero edges, where rewiring returns a copy
+    c = canonical_adjacency(a)
+    assert np.array_equal(c, naive_canonical(a))
+    assert not np.signbit(c[c == 0]).any()
+    # the recursion's fixed-point skip relies on this
+    assert np.array_equal(canonical_adjacency(c), c)
 
 
 def min_hops_reaching_distance(a, star, max_hops):

@@ -45,6 +45,24 @@ def workload_adjacency(monkeypatch, workload, n):
     return adjacency_from_graph(make_graph(minmax_apsp, workload, n, 3))
 
 
+PATHS = {"plus-path": 1, "minus-path": -1}
+
+
+def path_adjacency(n, weight):
+    """The path 0 -> 1 -> ... -> n - 1 with every edge weighing ``weight``."""
+    return adjacency_from_graph(SignedGraph(n, tuple((i, i + 1, weight) for i in range(n - 1))))
+
+
+def graph_adjacency(monkeypatch, graph, n):
+    if graph in PATHS:
+        return path_adjacency(n, PATHS[graph])
+    return workload_adjacency(monkeypatch, graph, n)
+
+
+def levels_run(trace):
+    return sum(not level.reused for level in trace.levels)
+
+
 def halved_two_hop_oracle(c):
     return ext_ceil_half(bounded_hop_closure(c, 2))
 
@@ -241,6 +259,44 @@ def test_trace_depth_formula_and_timings():
         )
 
 
+@pytest.mark.parametrize("graph", WORKLOADS + list(PATHS))
+def test_skip_matches_oracle_at_n_512(monkeypatch, graph):
+    a = graph_adjacency(monkeypatch, graph, 512)
+    trace = RecursionTrace()
+    assert np.array_equal(solve_apsp(a, trace=trace), oracle_apsp(a))
+    assert trace.depth == expected_depth(512)
+    assert levels_run(trace) < trace.depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.02, 0.8), st.integers(0, 2**32 - 1))
+def test_skip_is_exact_under_verify(n, density, seed):
+    a = random_signed_adjacency(np.random.default_rng(seed), n, density=density)
+    trace = RecursionTrace()
+    assert np.array_equal(solve_apsp(a, verify=True, trace=trace), oracle_apsp(a))
+    assert trace.depth == expected_depth(n)
+    # the skipped deltas sit between the last level run and the base case
+    reused = [level.reused for level in trace.levels]
+    assert reused == sorted(reused[:-1]) + [False]
+
+
+def test_levels_run_are_logarithmic_in_n(monkeypatch):
+    # finite distances lie in [-(n - 1), n - 1], so about log2 n halvings
+    # bring them to {0, 1}; the -1 path meets the bound exactly
+    rng = np.random.default_rng(97)
+    for n in (2, 3, 5, 8, 17, 64, 129, 257):
+        bound = (n - 1).bit_length() + 2
+        graphs = [path_adjacency(n, 1), random_signed_adjacency(rng, n, density=0.1)]
+        graphs += [workload_adjacency(monkeypatch, "long-dag", n)]
+        for a in graphs:
+            trace = RecursionTrace()
+            solve_apsp(a, trace=trace)
+            assert levels_run(trace) <= bound, n
+        trace = RecursionTrace()
+        solve_apsp(path_adjacency(n, -1), trace=trace)
+        assert levels_run(trace) == bound, n
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_solve_runs_no_cubic_float_kernel(monkeypatch, workload):
     # the Boolean product is the only cubic kernel in a solve without verify
@@ -259,12 +315,13 @@ def test_solve_runs_no_cubic_float_kernel(monkeypatch, workload):
 # memory
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", WORKLOADS + ["plus-path"])
 def test_solve_memory_does_not_grow_with_depth(monkeypatch, workload):
-    # n = 256 recurses 16 levels deep: keeping a float64 (n, n) input and its
-    # canonical rewiring per level leaves 256 bytes per entry live at the base
+    # at n = 256 the +1 path runs 10 levels before the base case (the
+    # workloads 3 to 9): keeping a float64 (n, n) input and its canonical
+    # rewiring per level would leave 160 bytes per entry live at the base
     n = 256
-    a = workload_adjacency(monkeypatch, workload, n)
+    a = graph_adjacency(monkeypatch, workload, n)
     before = a.copy()
     live = []
     base_case = reduction.one_regular_apsp

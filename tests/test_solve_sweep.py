@@ -32,6 +32,14 @@ def test_sweep_exit_status_ignores_earlier_rows(sweep):
     rows = json.loads(sweep.OUT.read_text(encoding="utf-8"))["rows"]
     assert [r["label"] for r in rows] == ["old"] + ["new"] * 3
     assert all(r["checksums_agree"] for r in rows[1:])
+    # ceil(log2 12**2) + 1 trace entries, the last one run as the base case
+    assert all(r["levels"] == 9 and 0 <= r["reused_levels"] < 9 for r in rows[1:])
+
+
+def test_sweep_sizes_flag_selects_n(sweep):
+    assert sweep.main(["--label", "new", "--sizes", "5", "7"]) == 0
+    rows = json.loads(sweep.OUT.read_text(encoding="utf-8"))["rows"]
+    assert [r["n"] for r in rows] == [5] * 3 + [7] * 3
 
 
 def test_sweep_exit_status_fails_on_a_new_bad_row(sweep, monkeypatch):
