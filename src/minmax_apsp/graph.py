@@ -62,6 +62,18 @@ def oracle_apsp(a) -> np.ndarray:
 
     After the cubic pass, every k with a negative diagonal lies on a negative
     closed walk; all pairs routing through such a k become -inf.
+
+    Each round clamps its two operands from below at -n before adding them,
+    so no entry drops below -2n; unclamped, the entries on a dense negative
+    cycle can double every round, overflow to -inf and meet +inf as nan.  The
+    clamp keeps the result exact.  It only raises operands, so every entry
+    stays at least the weight of some walk.  Every simple path weighs at
+    least -(n - 1), so the clamp leaves both halves of a simple path through
+    k at their weights, and every entry stays at most the weight of each
+    simple path through the vertices handled so far.  So pairs that no
+    negative cycle touches come out exact, every vertex of a negative simple
+    cycle still ends with a negative diagonal, and the blast sees the same
+    vertices.
     """
     a = as_square(a)
     if (a == NEG_INF).any():
@@ -69,7 +81,9 @@ def oracle_apsp(a) -> np.ndarray:
     d = a.copy()
     n = d.shape[0]
     for k in range(n):
-        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+        to_k = np.maximum(d[:, k : k + 1], -n)
+        from_k = np.maximum(d[k : k + 1, :], -n)
+        np.minimum(d, to_k + from_k, out=d)
     negative = np.flatnonzero(np.diagonal(d) < 0)
     if negative.size:
         into = (d[:, negative] < POS_INF).astype(np.int64)

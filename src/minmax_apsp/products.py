@@ -7,7 +7,10 @@ the left matrix by value into one flat (row, value) group index, finds the
 group of every target at once by binary search on the sorted group keys, and
 answers targets in heavy groups (more than ceil(sqrt(n)) columns) through one
 Boolean matrix product and targets in light groups by scanning the group's few
-columns.  Both target products return (n, n) bool arrays.
+columns.  The index, with its heavy matrix, depends on the left matrix alone,
+so products that share it (the two parity products of a recursion level)
+build it once and pass it in.  Both target products return (n, n) bool
+arrays.
 """
 
 from __future__ import annotations
@@ -53,10 +56,15 @@ def target_minmax_naive(a, b, target) -> np.ndarray:
     return product == target
 
 
+# the index's column offsets, heavy ids and group numbers, and the kernel's
+# query numbers, are int32: half the bytes of int64 on arrays of n^2 entries
+_INT32_ENTRIES = 2**31
+
+
 @dataclass
 class RowIndex:
-    """The (row, value) groups of a matrix: the columns of row i that hold one
-    value, for every row i and every value in it.
+    """The (row, value) groups of a (rows, n) matrix: the columns of row i that
+    hold one value, for every row i and every value in it.
 
     Group g has key row * width + rank, where rank is the value's position
     among the matrix's ``values``; keys ascend, so groups run row-major in
@@ -64,58 +72,81 @@ class RowIndex:
     ``columns[starts[g]:starts[g + 1]]``.  A group is heavy when it holds
     strictly more than ``cutoff`` columns; heavy groups get consecutive ids in
     group order, so the heavy matrix is reproducible bit for bit, and light
-    groups carry heavy id -1.
+    groups carry heavy id -1.  ``heavy`` is that matrix, one row per heavy
+    group (``build_heavy_matrix``).
+
+    Offsets, columns and heavy ids are int32, which holds every offset while
+    rows * n < 2**31 (``build_row_index`` refuses larger matrices); keys stay
+    int64, since row * width can pass 2**31.  No product writes to an index,
+    so one index serves any number of products with the same left matrix.
     """
 
+    rows: int
     n: int
     cutoff: int
     values: np.ndarray  # (width,) distinct values of the matrix, ascending
-    keys: np.ndarray  # (groups,) row * width + rank of the value
-    starts: np.ndarray  # (groups + 1,) offset of each group in columns
-    columns: np.ndarray  # (rows * n,) columns in group order
-    heavy_id: np.ndarray  # (groups,) heavy id per group, -1 when light
+    keys: np.ndarray  # (groups,) int64 row * width + rank of the value
+    starts: np.ndarray  # (groups + 1,) int32 offset of each group in columns
+    columns: np.ndarray  # (rows * n,) int32 columns in group order
+    heavy_id: np.ndarray  # (groups,) int32 heavy id per group, -1 when light
     heavy_rows: int  # number of heavy groups
+    heavy: BitMatrix | None = None  # (heavy_rows, n), set by build_row_index
 
     def group_of(self, rows, values):
-        """Group number of each (row, value) pair, or -1 where the value does
-        not occur in its row."""
+        """Group number of each (row, value) pair as int32, or -1 where the
+        value does not occur in its row."""
         if not self.keys.size:  # rows with no columns hold no value
-            return np.full(np.shape(values), -1)
+            return np.full(np.shape(values), -1, dtype=np.int32)
         width = self.values.size
         rank = np.minimum(np.searchsorted(self.values, values), width - 1)
-        keys = rows * width + rank
+        keys = rows * np.int64(width) + rank
         group = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        group[(self.values[rank] != values) | (self.keys[group] != keys)] = -1
+        missing = (self.values[rank] != values) | (self.keys[group] != keys)
+        group = group.astype(np.int32)
+        group[missing] = -1
         return group
 
 
 def build_row_index(a) -> RowIndex:
-    """Group every row's columns by value and mark the groups holding more
-    than ceil(sqrt(n)) columns heavy.
+    """Group every row's columns by value, mark the groups holding more than
+    ceil(sqrt(n)) columns heavy, and build their heavy matrix.
 
     The cutoff only balances cost, so the product's answer is the same at
     every cutoff; this one is the smallest m with m * m >= n, in exact
-    integer arithmetic."""
+    integer arithmetic.  A matrix of 2**31 entries or more is refused with
+    ValueError before anything is allocated: its offsets would not fit the
+    index's int32 arrays."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     rows, n = a.shape
+    if rows * n >= _INT32_ENTRIES:
+        raise ValueError(
+            f"a {rows} x {n} matrix has {rows * n} entries; the row index "
+            "holds fewer than 2**31"
+        )
     cutoff = math.isqrt(n - 1) + 1 if n > 1 else 1
     # a stable sort keeps each group's columns ascending
     order = np.argsort(a, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(a, order, axis=1)
+    columns = order.ravel().astype(np.int32)
+    del order
     is_start = np.ones((rows, n), dtype=bool)
     is_start[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
     heads = np.flatnonzero(is_start)
     head_vals = sorted_vals.ravel()[heads]
+    del sorted_vals, is_start
     values = np.unique(head_vals)
     keys = heads // n * values.size + np.searchsorted(values, head_vals)
-    starts = np.append(heads, rows * n)
+    starts = np.append(heads, rows * n).astype(np.int32)
     heavy = np.diff(starts) > cutoff
-    heavy_id = np.where(heavy, np.cumsum(heavy) - 1, -1)
-    return RowIndex(
-        n, cutoff, values, keys, starts, order.ravel(), heavy_id, int(heavy.sum())
+    heavy_id = np.where(heavy, np.cumsum(heavy, dtype=np.int32) - 1, np.int32(-1))
+    index = RowIndex(
+        rows, n, cutoff, values, keys, starts, columns, heavy_id, int(heavy.sum())
     )
+    # looked up on this module, so that perfbench's tracer times it
+    index.heavy = build_heavy_matrix(index)
+    return index
 
 
 def build_heavy_matrix(index: RowIndex) -> BitMatrix:
@@ -175,6 +206,7 @@ class RestrictedInstance:
 def restricted_target_minmax(
     instance: RestrictedInstance,
     *,
+    index: RowIndex | None = None,
     verify=False,
     return_routes=False,
 ):
@@ -188,21 +220,29 @@ def restricted_target_minmax(
     there to +inf, and no finite witness rule applies.  The result is an
     (n, n) bool array.
 
-    Groups of more than ceil(sqrt(n)) columns are heavy (``build_row_index``).
-    With verify=True the target bound is asserted first (cubic).  With
-    return_routes=True a second (n, n) int8 array of ROUTE_* codes is returned
-    for diagnostics.
+    ``index`` is ``build_row_index(instance.a)``, built here when it is None.
+    Products with the same left matrix can share one: the call only reads it.
+    An index of another shape raises ValueError.  Groups of more than
+    ceil(sqrt(n)) columns are heavy.  With verify=True the target bound is
+    asserted first (cubic).  With return_routes=True a second (n, n) int8
+    array of ROUTE_* codes is returned for diagnostics.
     """
-    if verify:
-        instance.check_target_bound()
     a, b, target = instance.a, instance.b, instance.target
     n = a.shape[0]
-    index = build_row_index(a)
+    if index is None:
+        index = build_row_index(a)
+    elif (index.rows, index.n) != a.shape:
+        raise ValueError(
+            f"row index of a {index.rows} x {index.n} matrix for a {a.shape} instance"
+        )
+    if verify:
+        instance.check_target_bound()
     b_neg = b == NEG_INF
-    f = bool_product(build_heavy_matrix(index), BitMatrix.from_bool(b_neg))
+    f = bool_product(index.heavy, BitMatrix.from_bool(b_neg))
 
+    # int32 query numbers: the index holds fewer than 2**31 entries
     target_inf = target.ravel() == POS_INF
-    queries = np.flatnonzero(~target_inf)
+    queries = np.flatnonzero(~target_inf).astype(np.int32)
     qi, qj = np.divmod(queries, n)
     group = index.group_of(qi, target.ravel()[queries])
     heavy_id = index.heavy_id[group]

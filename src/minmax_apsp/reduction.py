@@ -5,9 +5,11 @@ two-hop closure (three Boolean products), solves the halved instance
 recursively, and then recovers the lost parity bit with two restricted
 target products: one against the canonical +1 edges, one against the -1
 edges.  A pair's distance is odd exactly when one of the two products fires.
-The products' heavy/light cutoff only balances their cost; no output depends
-on it.  Once a level's halving returns its own canonical matrix, every deeper
-level would repeat it, so the recursion goes straight to delta = 1.
+Both products have the halved distances as their left matrix, so they share
+one row index.  The products' heavy/light cutoff only balances their cost; no
+output depends on it.  Once a level's halving returns its own canonical
+matrix, every deeper level would repeat it, so the recursion goes straight to
+delta = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import extmat
+from . import extmat, products
 from .extmat import NEG_INF, POS_INF, BitMatrix, VerificationError, as_square, ext_ceil_half
 from .graph import canonical_adjacency, is_delta_regular, one_regular_apsp, oracle_apsp
 from .products import RestrictedInstance, restricted_target_minmax
@@ -88,13 +90,16 @@ def parity_products(halved_dist, x_plus, x_minus, *, verify=False):
     z_plus targets them shifted down by one against the +1-edge mask (both
     infinities stay put under the shift).  Both instances satisfy the
     restricted-product bound by the triangle inequality; verify=True asserts
-    it.
+    it.  Both products group the same left matrix, so one row index, heavy
+    matrix included, serves them both.
     """
     halved_dist = as_square(halved_dist)
     minus_inst = RestrictedInstance(halved_dist, x_minus, halved_dist)
     plus_inst = RestrictedInstance(halved_dist, x_plus, halved_dist - 1.0)
-    z_minus = restricted_target_minmax(minus_inst, verify=verify)
-    z_plus = restricted_target_minmax(plus_inst, verify=verify)
+    # looked up on products, so that perfbench's tracer times it
+    index = products.build_row_index(halved_dist)
+    z_minus = restricted_target_minmax(minus_inst, index=index, verify=verify)
+    z_plus = restricted_target_minmax(plus_inst, index=index, verify=verify)
     return z_plus, z_minus
 
 

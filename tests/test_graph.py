@@ -15,6 +15,7 @@ from minmax_apsp import (
     minplus_product,
     one_regular_apsp,
     oracle_apsp,
+    solve_apsp,
 )
 from oracles import bellman_ford_apsp, naive_canonical, random_signed_adjacency
 
@@ -90,6 +91,23 @@ def test_oracle_matches_bellman_ford():
         n = int(rng.integers(1, 11))
         a = random_signed_adjacency(rng, n, density=float(rng.uniform(0.1, 0.8)))
         assert np.array_equal(oracle_apsp(a), bellman_ford_apsp(a)), (trial, a)
+
+
+def test_oracle_stays_finite_on_a_dense_negative_cycle():
+    # the complete -1 graph on m vertices, plus vertex m, which reaches it and
+    # which nothing reaches: unclamped, Floyd-Warshall's entries doubled each
+    # round until they overflowed to -inf and met +inf as nan (from m ~ 1030)
+    m = 1100
+    a = np.full((m + 1, m + 1), INF)
+    a[:m, :m] = -1.0
+    np.fill_diagonal(a, 0.0)
+    a[m, 0] = 1.0
+    want = np.full((m + 1, m + 1), NEG_INF)
+    want[:, m] = INF
+    want[m, m] = 0.0
+    star = oracle_apsp(a)
+    assert np.array_equal(star, want)
+    assert np.array_equal(solve_apsp(a), want)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,53 @@ def test_restricted_routes_partition_entries():
     assert_both_routes(seen)
 
 
+def test_one_row_index_serves_several_targets():
+    # one index, two targets drawn below the same product, and the first again
+    # after the second: each answer is the naive kernel's, routes included
+    rng = np.random.default_rng(67)
+    seen = []
+    for _ in range(20):
+        n = int(rng.integers(1, 33))
+        first = random_restricted_instance(rng, n)
+        a, b = first.a, first.b
+        product = minmax_product(a, b)
+        slack = rng.integers(0, 3, size=(n, n)).astype(float)
+        target = np.where(np.isfinite(product), product - slack, product)
+        second = RestrictedInstance(a, b, target)
+        index = build_row_index(a)
+        for inst in (first, second, first):
+            got, routes = restricted_target_minmax(inst, index=index, return_routes=True)
+            alone, alone_routes = restricted_target_minmax(inst, return_routes=True)
+            assert np.array_equal(got, target_minmax_naive(a, b, inst.target))
+            assert np.array_equal(got, alone)
+            assert np.array_equal(routes, alone_routes)
+            seen.append(routes)
+    assert_both_routes(seen)
+
+
+def test_restricted_rejects_an_index_of_another_shape():
+    rng = np.random.default_rng(71)
+    inst = random_restricted_instance(rng, 6)
+    for shape in ((5, 5), (6, 5), (5, 6), (7, 7)):
+        with pytest.raises(ValueError, match="row index"):
+            restricted_target_minmax(inst, index=build_row_index(np.zeros(shape)))
+
+
+@pytest.mark.parametrize("shape", [(2**16, 2**15), (1, 2**31), (2**31 + 1, 1)])
+def test_row_index_refuses_offsets_past_int32(shape):
+    # a read-only view of one float: nothing of that size is allocated
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        build_row_index(np.broadcast_to(np.zeros(1), shape))
+
+
+def test_row_index_holds_int32_offsets_below_the_limit():
+    idx = build_row_index(np.arange(12.0).reshape(3, 4) % 3)
+    for name in ("starts", "columns", "heavy_id"):
+        assert getattr(idx, name).dtype == np.int32, name
+    assert idx.keys.dtype == np.int64
+    assert idx.group_of(np.array([0]), np.array([1.0])).dtype == np.int32
+
+
 def _check_restricted_at_bench_size(n):
     for seed in (0, 1):
         inst = cli._bench_instance(n, seed)

@@ -12,6 +12,7 @@ from minmax_apsp import (
     NEG_INF,
     POS_INF,
     RecursionTrace,
+    RestrictedInstance,
     SignedGraph,
     VerificationError,
     adjacency_from_graph,
@@ -23,7 +24,9 @@ from minmax_apsp import (
     oracle_apsp,
     parity_masks,
     parity_products,
+    restricted_target_minmax,
     solve_apsp,
+    target_minmax_naive,
     two_hop_target,
 )
 from minmax_apsp import cli, extmat, products, reduction
@@ -57,6 +60,22 @@ def graph_adjacency(monkeypatch, graph, n):
     if graph in PATHS:
         return path_adjacency(n, PATHS[graph])
     return workload_adjacency(monkeypatch, graph, n)
+
+
+def parity_calls(monkeypatch, workload, n):
+    """The arguments of every parity_products call in a solve of a workload's
+    first graph; the top level's call comes last."""
+    calls = []
+    original = reduction.parity_products
+
+    def capture(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "parity_products", capture)
+    solve_apsp(workload_adjacency(monkeypatch, workload, n))
+    monkeypatch.setattr(reduction, "parity_products", original)
+    return calls
 
 
 def levels_run(trace):
@@ -160,6 +179,39 @@ def test_parity_products_single_negative_edge():
     z_plus, z_minus = parity_products(halved_star_of(a), *parity_masks(c), verify=True)
     assert z_minus[0, 1]
     assert not z_plus[0, 1]
+
+
+def test_parity_products_build_one_row_index(monkeypatch):
+    built = []
+    build = products.build_row_index
+
+    def counted(a):
+        built.append(a.shape)
+        return build(a)
+
+    monkeypatch.setattr(products, "build_row_index", counted)
+    a = path_adjacency(6, 1)
+    c = canonical_adjacency(a)
+    z_plus, z_minus = parity_products(halved_star_of(a), *parity_masks(c), verify=True)
+    assert built == [(6, 6)]
+    assert z_plus[0, 1] and z_plus[0, 5] and not z_plus[0, 2]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_shared_row_index_matches_on_workload_levels(monkeypatch, workload):
+    # every level's two parity instances at n = 512, each answered with the
+    # level's one index, with its own index and by the naive kernel
+    calls = parity_calls(monkeypatch, workload, 512)
+    assert len(calls) > 1
+    for halved_dist, x_plus, x_minus in calls:
+        index = products.build_row_index(halved_dist)
+        for x, target in ((x_minus, halved_dist), (x_plus, halved_dist - 1.0)):
+            inst = RestrictedInstance(halved_dist, x, target)
+            shared = restricted_target_minmax(inst, index=index, return_routes=True)
+            alone = restricted_target_minmax(inst, return_routes=True)
+            assert np.array_equal(shared[0], alone[0])
+            assert np.array_equal(shared[1], alone[1])
+            assert np.array_equal(shared[0], target_minmax_naive(halved_dist, x, target))
 
 
 def test_assemble_distances_branches():
@@ -342,3 +394,17 @@ def test_solve_memory_does_not_grow_with_depth(monkeypatch, workload):
     assert len(live) == 1
     assert live[0] < 64 * n * n
     assert peak < cli.SOLVE_BYTES_PER_ENTRY * n * n
+
+
+def test_parity_products_memory_on_the_top_level(monkeypatch):
+    # one row index shared by both products, with int32 offsets and queries:
+    # 15.98 MiB on this level (numpy 2.4), 19.32 MiB with an int64 index per
+    # product
+    *_, top = parity_calls(monkeypatch, "unit-cli", 512)
+    tracemalloc.start()
+    try:
+        parity_products(*top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17.5 * 2**20
