@@ -5,9 +5,10 @@ The (min, max) product takes the bottleneck of every two-leg route and keeps
 the best one.  The target product only asks *whether* each entry of a given
 target matrix is that optimum.  For restricted instances (right matrix all
 +/-inf, target never above the optimum) the production kernel answers without
-ever forming the product: it groups each row's columns by value, sends
-targets in heavy (large) groups through one Boolean matrix product and
-scans the few columns of light groups.
+ever forming the product.  Such a right matrix is Boolean, so the instance
+takes it as the bool mask of its -inf entries.  The kernel groups each row's
+columns by value, sends targets in heavy (large) groups through one Boolean
+matrix product and scans the few columns of light groups.
 """
 
 import numpy as np
@@ -41,10 +42,11 @@ print("hits  :", target_minmax_naive(a, b, target).astype(int).tolist())
 rng = np.random.default_rng(0)
 n = 12
 values = np.where(rng.random((n, n)) < 0.5, -5.0, rng.integers(-4, 6, (n, n)))
-signs = np.where(rng.random((n, n)) < 0.5, NEG_INF, POS_INF)
+b_neg = rng.random((n, n)) < 0.5  # where the right matrix is -inf
+signs = np.where(b_neg, NEG_INF, POS_INF)  # the same matrix, for the oracles
 product = minmax_product(values, signs)
 goal = np.where(np.isfinite(product), product - rng.integers(0, 2, (n, n)), product)
-instance = RestrictedInstance(values, signs, goal)
+instance = RestrictedInstance(values, b_neg, goal)
 
 index = build_row_index(values)
 print(f"\nn={n}, cutoff ceil(sqrt(n)) = {index.cutoff}, "

@@ -40,13 +40,15 @@ DESCRIPTION = (
 )
 
 
-def _git(root, *args) -> str:
+def _git(root, *args) -> str | None:
+    """git's answer in ``root``, or None where it has none (no git, or a tree
+    that is not a checkout)."""
     try:
         done = subprocess.run(
             ["git", "-C", str(root), *args], capture_output=True, text=True, check=True
         )
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return None
     return done.stdout.strip()
 
 
@@ -104,10 +106,12 @@ def main(argv=None) -> int:
     import minmax_apsp as mods
     import solvebench as sb
 
+    status = _git(args.root, "status", "--porcelain", "--", "src")
     record = {
         "label": args.label,
-        "commit": _git(args.root, "rev-parse", "--short", "HEAD"),
-        "src_modified": _git(args.root, "status", "--porcelain", "--", "src") != "",
+        "commit": _git(args.root, "rev-parse", "--short", "HEAD") or "unknown",
+        # null where git cannot tell, as in an exported tree
+        "src_modified": None if status is None else status != "",
     }
     record.update(environment(np))
     bench = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}

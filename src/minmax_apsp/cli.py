@@ -275,10 +275,10 @@ def _refuse_beyond_memory(nbytes, what):
 
 # Peak bytes per n**2 of one engine solve with verify off (tracemalloc,
 # through `solve`).  A solve has one configuration, so this bounds every
-# solve.  The largest measured is 141, on unit-cli at n = 1024, and 139 there
-# at n = 2048 (131 for solve_apsp alone at both, BENCH_solve.json); a `gen`
-# graph of the default density 0.3 reads 140 / 120 / 119 at n = 256 / 512 /
-# 1024.
+# solve.  unit-cli reads 93 at n = 1024 and 91 at n = 2048; solve_apsp alone
+# peaks at 98 at most, neg-cycles at n = 256 (BENCH_solve.json); a `gen`
+# graph of the default density 0.3 reads 90 / 89 / 88 at n = 256 / 512 /
+# 1024.  The largest measured before the bool parity masks was 141.
 SOLVE_BYTES_PER_ENTRY = 192
 
 # Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)
@@ -288,17 +288,17 @@ GEN_BYTES_PER_PAIR = 24
 GEN_BYTES_PER_EDGE = 168
 
 # Peak bytes per n**2 of `bench` at one size (tracemalloc, through `bench`):
-# 118 / 118 / 120 at n = 256 / 512 / 1024, mostly the instance and its
+# 97 / 97 / 98 at n = 256 / 512 / 1024, mostly the instance and its
 # min-max product.  The first command of a process also imports about
 # 1.3 MiB of modules once (numpy.ma among them), which no bound counts.
 BENCH_BYTES_PER_ENTRY = 128
 
-# Peak bytes of `product` (tracemalloc, parsing included): 117 to 118 per
+# Peak bytes of `product` (tracemalloc, parsing included): 88 to 90 per
 # n**2 on bench instances at n = 256 / 512 / 1024, plus the restricted
 # kernel's heavy matrix H and F = H.B'.  A row holds at most isqrt(n) heavy
 # groups, so each of those has at most n**2 * isqrt(n) entries; the
 # most-heavy case, rows split into groups of cutoff + 1 columns, peaks at
-# 176 / 190 / 132 per n**2.
+# 164 / 178 / 111 per n**2.
 PRODUCT_BYTES_PER_ENTRY = 128
 PRODUCT_BYTES_PER_HEAVY_ENTRY = 4
 
@@ -363,12 +363,22 @@ def _cmd_product(args) -> int:
     if args.kernel == "minmax":
         _write(args.output, format_matrix(minmax_product(a, b)))
         return 0
-    target = parse_matrix(_read(args.target))
     if args.kernel == "tminmax-naive":
-        bits = target_minmax_naive(a, b, target)
+        bits = target_minmax_naive(a, b, parse_matrix(_read(args.target)))
     else:
+        # B' must be all +/-inf; the instance holds its -inf mask, and the
+        # float B' is dropped before the target is read
+        b_neg = b == NEG_INF
+        bad = np.argwhere(~b_neg & (b != POS_INF))
+        if bad.size:
+            i, j = bad[0]
+            raise InvalidInputError(
+                f"b[{i}, {j}] = {b[i, j]}: every entry of b must be -inf or +inf"
+            )
+        del b
+        target = parse_matrix(_read(args.target))
         # a target that breaks the instance contract raises ValueError: exit 3
-        instance = RestrictedInstance(a, b, target)
+        instance = RestrictedInstance(a, b_neg, target)
         bits = restricted_target_minmax(instance, verify=args.verify)
     _write(args.output, format_matrix(bits))
     return 0
@@ -402,11 +412,11 @@ def _bench_instance(n, seed) -> RestrictedInstance:
     a = np.where((kind % np.uint64(100)) < 30, hot, a)
     a[(kind % np.uint64(100)) >= 97] = POS_INF
     a[(kind % np.uint64(100 * n)) < 25] = NEG_INF
-    b = np.where((bsign % np.uint64(2)).astype(bool), NEG_INF, POS_INF)
-    product = minmax_product(a, b)
+    b_neg = (bsign % np.uint64(2)).astype(bool)
+    product = minmax_product(a, np.where(b_neg, NEG_INF, POS_INF))
     slack = (pull % np.uint64(3)).astype(np.float64)
     target = np.where(np.isfinite(product), product - slack, product)
-    return RestrictedInstance(a, b, target)
+    return RestrictedInstance(a, b_neg, target)
 
 
 def _cmd_bench(args) -> int:
@@ -418,10 +428,12 @@ def _cmd_bench(args) -> int:
     rows = []
     for n in args.sizes:
         instance = _bench_instance(n, args.seed)
+        # the cubic kernels read B' as floats, built before any timing
+        b = np.where(instance.b_neg, NEG_INF, POS_INF)
         runs = {
-            "minmax": lambda: minmax_product(instance.a, instance.b),
+            "minmax": lambda: minmax_product(instance.a, b),
             "tminmax-naive": lambda: target_minmax_naive(
-                instance.a, instance.b, instance.target
+                instance.a, b, instance.target
             ),
             "tminmax-restricted": lambda: restricted_target_minmax(instance),
         }

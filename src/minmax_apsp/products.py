@@ -2,15 +2,17 @@
 
 Three operations live here: the cubic (min, max) product, the naive target
 product built on top of it (both serve as oracles), and the production target
-product for restricted instances.  That one groups the columns of every row of
-the left matrix by value into one flat (row, value) group index, finds the
-group of every target at once by binary search on the sorted group keys, and
-answers targets in heavy groups (more than ceil(sqrt(n)) columns) through one
-Boolean matrix product and targets in light groups by scanning the group's few
-columns.  The index, with its heavy matrix, depends on the left matrix alone,
-so products that share it (the two parity products of a recursion level)
-build it once and pass it in.  Both target products return (n, n) bool
-arrays.
+product for restricted instances.  A restricted instance's second matrix B' is
+all +/-inf, so it is Boolean: the instance holds it as the bool mask of its
+-inf entries, and only the two oracles read a float B'.  The production
+product groups the columns of every row of the left matrix by value into one
+flat (row, value) group index, finds the group of every target at once by
+binary search on the sorted group keys, and answers targets in heavy groups
+(more than ceil(sqrt(n)) columns) through one Boolean matrix product and
+targets in light groups by scanning the group's few columns of the mask.  The
+index, with its heavy matrix, depends on the left matrix alone, so products
+that share it (the two parity products of a recursion level) build it once
+and pass it in.  Both target products return (n, n) bool arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .extmat import (
     BitMatrix,
     VerificationError,
     _conform_square_pair,
+    as_square,
     bool_product,
 )
 
@@ -160,19 +163,28 @@ def build_heavy_matrix(index: RowIndex) -> BitMatrix:
 
 @dataclass(frozen=True)
 class RestrictedInstance:
-    """A target product instance whose second matrix is all +/-inf and whose
-    target never exceeds the true (min, max) product.
+    """A target product instance whose second matrix B' is all +/-inf and
+    whose target never exceeds the true (min, max) product.
 
-    The +/-inf shape of ``b`` is cheap and checked on construction; the target
-    bound costs a full cubic product and is only checked on demand.
+    B' is held as ``b_neg``, the bool mask of its -inf entries.  A mask that
+    is not bool or not of a's shape raises ValueError; it is never coerced,
+    as a float +/-inf B' would read True everywhere.  So does NaN in ``a`` or
+    ``target``.  The target bound costs a cubic product; it is checked on
+    demand.
     """
 
     a: np.ndarray
-    b: np.ndarray
+    b_neg: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        a, b = _conform_square_pair(self.a, self.b)
+        a = as_square(self.a, "a")
+        b_neg = np.asarray(self.b_neg)
+        if b_neg.dtype != bool or b_neg.shape != a.shape:
+            raise ValueError(
+                f"b_neg must be a {a.shape} bool mask of the -inf entries of b, "
+                f"got {b_neg.dtype} of shape {b_neg.shape}"
+            )
         target = np.asarray(self.target, dtype=np.float64)
         if target.shape != a.shape:
             raise ValueError(f"dimension mismatch: target {target.shape} vs {a.shape}")
@@ -181,19 +193,13 @@ class RestrictedInstance:
             if nan.any():
                 i, j = np.argwhere(nan)[0]
                 raise ValueError(f"{name}[{i}, {j}] is nan, not an extended integer")
-        if not ((b == POS_INF) | (b == NEG_INF)).all():
-            bad = np.argwhere((b != POS_INF) & (b != NEG_INF))[0]
-            raise ValueError(
-                f"b[{bad[0]}, {bad[1]}] = {b[bad[0], bad[1]]}: every entry of b "
-                "must be -inf or +inf"
-            )
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b_neg", b_neg)
         object.__setattr__(self, "target", target)
 
     def check_target_bound(self):
         """Assert target <= min-max product elementwise (cubic)."""
-        product = minmax_product(self.a, self.b)
+        product = minmax_product(self.a, np.where(self.b_neg, NEG_INF, POS_INF))
         bad = self.target > product
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -215,10 +221,11 @@ def restricted_target_minmax(
     For each entry the target value is looked up among the (row, value)
     groups of ``a``: a target in a heavy group reads one precomputed bit of
     F = H x B', a target in a light group scans the group's (few) columns for
-    one where b is -inf, and a target absent from its row yields False.  A
+    one where B' is -inf, and a target absent from its row yields False.  A
     +inf target yields True directly: the instance bound forces the min-max
-    there to +inf, and no finite witness rule applies.  The result is an
-    (n, n) bool array.
+    there to +inf, and no finite witness rule applies.  B' is read only as
+    ``instance.b_neg``: packed as the right operand of F, and scanned as it
+    is by the light route.  The result is an (n, n) bool array.
 
     ``index`` is ``build_row_index(instance.a)``, built here when it is None.
     Products with the same left matrix can share one: the call only reads it.
@@ -227,7 +234,7 @@ def restricted_target_minmax(
     asserted first (cubic).  With return_routes=True a second (n, n) int8
     array of ROUTE_* codes is returned for diagnostics.
     """
-    a, b, target = instance.a, instance.b, instance.target
+    a, b_neg, target = instance.a, instance.b_neg, instance.target
     n = a.shape[0]
     if index is None:
         index = build_row_index(a)
@@ -237,7 +244,6 @@ def restricted_target_minmax(
         )
     if verify:
         instance.check_target_bound()
-    b_neg = b == NEG_INF
     f = bool_product(index.heavy, BitMatrix.from_bool(b_neg))
 
     # int32 query numbers: the index holds fewer than 2**31 entries

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extmat, products
-from .extmat import NEG_INF, POS_INF, BitMatrix, VerificationError, as_square, ext_ceil_half
+from .extmat import POS_INF, BitMatrix, VerificationError, as_square, ext_ceil_half
 from .graph import canonical_adjacency, is_delta_regular, one_regular_apsp, oracle_apsp
 from .products import RestrictedInstance, restricted_target_minmax
 
@@ -75,12 +75,11 @@ def two_hop_target(canonical) -> np.ndarray:
     return halved
 
 
-def parity_masks(canonical):
-    """(x_plus, x_minus): -inf where the canonical edge weighs +1 / -1, else +inf."""
-    canonical = as_square(canonical)
-    x_plus = np.where(canonical == 1, NEG_INF, POS_INF)
-    x_minus = np.where(canonical == -1, NEG_INF, POS_INF)
-    return x_plus, x_minus
+def parity_masks(signs):
+    """(x_plus, x_minus): the bool masks of the +1 / -1 canonical edges, the
+    -inf entries of the two parity products' B'."""
+    signs = np.asarray(signs)
+    return signs == 1, signs == -1
 
 
 def parity_products(halved_dist, x_plus, x_minus, *, verify=False):

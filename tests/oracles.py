@@ -122,9 +122,16 @@ def random_signed_adjacency(rng, n, density, loop_prob=0.15):
     return a
 
 
+def inf_matrix(b_neg):
+    """The +/-inf matrix B' whose -inf entries the bool mask ``b_neg`` marks,
+    as the float oracles read it."""
+    return np.where(b_neg, NEG_INF, POS_INF)
+
+
 def random_restricted_instance(rng, n, inf_frac=0.06):
-    """A valid restricted target-product instance: b is +/-inf everywhere and
-    the target sits a nonnegative amount below the true min-max product.
+    """A valid restricted target-product instance: B' is +/-inf everywhere
+    (held as its -inf mask) and the target sits a nonnegative amount below
+    the true min-max product.
 
     Each row holds a hot value on about half its entries, so its group
     outgrows the heavy/light cutoff; the other entries are spread over about
@@ -136,8 +143,8 @@ def random_restricted_instance(rng, n, inf_frac=0.06):
     a = np.where(rng.random((n, n)) < 0.5, hot, a)
     a[rng.random((n, n)) < inf_frac] = POS_INF
     a[rng.random((n, n)) < inf_frac / 2] = NEG_INF
-    b = np.where(rng.random((n, n)) < 0.5, NEG_INF, POS_INF)
-    product = minmax_product(a, b)
+    b_neg = rng.random((n, n)) < 0.5
+    product = minmax_product(a, inf_matrix(b_neg))
     slack = rng.integers(0, 3, size=(n, n)).astype(np.float64)
     target = np.where(np.isfinite(product), product - slack, product)
-    return RestrictedInstance(a, b, target)
+    return RestrictedInstance(a, b_neg, target)

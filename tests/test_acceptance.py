@@ -32,7 +32,7 @@ from minmax_apsp import (
     two_hop_target,
 )
 from minmax_apsp.cli import format_matrix, gen_random_graph, main
-from oracles import random_restricted_instance, random_signed_adjacency
+from oracles import inf_matrix, random_restricted_instance, random_signed_adjacency
 
 INF = POS_INF
 DENSITIES = (0.1, 0.3, 0.7)
@@ -95,7 +95,7 @@ def test_product_oracle_equivalence():
     for trial in range(500):
         n = int(rng.integers(2, 65))
         instance = random_restricted_instance(rng, n)
-        want = target_minmax_naive(instance.a, instance.b, instance.target)
+        want = target_minmax_naive(instance.a, inf_matrix(instance.b_neg), instance.target)
         got, routes = restricted_target_minmax(instance, return_routes=True)
         assert np.array_equal(got, want), (trial, n)
         instances += 1
@@ -219,7 +219,7 @@ def test_determinism(tmp_path):
     instance = random_restricted_instance(rng, 24)
     pa, pb, pt = (tmp_path / f"{k}.txt" for k in "abt")
     pa.write_text(format_matrix(instance.a), encoding="utf-8")
-    pb.write_text(format_matrix(instance.b), encoding="utf-8")
+    pb.write_text(format_matrix(inf_matrix(instance.b_neg)), encoding="utf-8")
     pt.write_text(format_matrix(instance.target), encoding="utf-8")
     prod_a, prod_b = tmp_path / "pa.txt", tmp_path / "pb.txt"
     for out in (prod_a, prod_b):

@@ -632,6 +632,18 @@ def test_product_restricted_rejects_finite_b(tmp_path):
     assert code == 3
 
 
+def test_product_restricted_names_the_first_b_entry_not_inf(tmp_path, capsys):
+    # B' is read as floats and checked before its -inf mask is taken: a mask
+    # alone would read 5 as +inf
+    paths = [tmp_path / f"{name}.txt" for name in "abt"]
+    b = np.array([[NEG_INF, INF], [5.0, NEG_INF]])
+    for path, m in zip(paths, (np.zeros((2, 2)), b, np.zeros((2, 2)))):
+        path.write_text(format_matrix(m), encoding="utf-8")
+    argv = ["product", "--kernel", "tminmax-restricted", *map(str, paths)]
+    assert main([*argv, "-o", str(tmp_path / "o.txt")]) == 3
+    assert "b[1, 0] = 5.0: every entry of b must be -inf or +inf" in capsys.readouterr().err
+
+
 def test_product_restricted_verify_rejects_bad_target(tmp_path):
     a = np.array([[1.0]])
     b = np.array([[NEG_INF]])

@@ -21,7 +21,7 @@ from minmax_apsp import (
     restricted_target_minmax,
     target_minmax_naive,
 )
-from oracles import naive_minmax, random_restricted_instance
+from oracles import inf_matrix, naive_minmax, random_restricted_instance
 
 INF = POS_INF
 
@@ -227,13 +227,29 @@ def test_restricted_instance_rejects_finite_b():
         RestrictedInstance(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "b_neg",
+    [
+        # a float +/-inf B' is no mask: coerced to bool, both infinities read True
+        np.array([[NEG_INF, INF], [INF, NEG_INF]]),
+        np.ones((2, 3), dtype=bool),
+        np.ones((3, 3), dtype=bool),
+        np.ones(4, dtype=bool),
+    ],
+    ids=["float-inf", "2x3", "3x3", "flat"],
+)
+def test_restricted_instance_rejects_what_is_not_a_mask_of_a(b_neg):
+    with pytest.raises(ValueError, match="bool mask"):
+        RestrictedInstance(np.zeros((2, 2)), b_neg, np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("where", ["a", "target"])
 def test_restricted_instance_rejects_nan(where):
     # nan is no extended integer: with it in a, the restricted kernel answered
     # True where the naive kernel answers False
     matrices = {
         "a": np.zeros((2, 2)),
-        "b": np.full((2, 2), NEG_INF),
+        "b_neg": np.ones((2, 2), dtype=bool),
         "target": np.zeros((2, 2)),
     }
     matrices[where][1, 0] = np.nan
@@ -243,19 +259,19 @@ def test_restricted_instance_rejects_nan(where):
 
 def test_restricted_instance_target_bound_check():
     a = np.array([[1.0]])
-    b = np.array([[NEG_INF]])
-    good = RestrictedInstance(a, b, np.array([[1.0]]))
+    b_neg = np.array([[True]])
+    good = RestrictedInstance(a, b_neg, np.array([[1.0]]))
     good.check_target_bound()
-    bad = RestrictedInstance(a, b, np.array([[2.0]]))
+    bad = RestrictedInstance(a, b_neg, np.array([[2.0]]))
     with pytest.raises(VerificationError):
         bad.check_target_bound()
 
 
 def test_restricted_worked_example():
     a = np.array([[5, 3], [7, 7]], dtype=float)
-    b = np.array([[NEG_INF, INF], [INF, NEG_INF]], dtype=float)
+    b_neg = np.array([[True, False], [False, True]])
     target = np.array([[5, 3], [6, 7]], dtype=float)
-    got = restricted_target_minmax(RestrictedInstance(a, b, target), verify=True)
+    got = restricted_target_minmax(RestrictedInstance(a, b_neg, target), verify=True)
     assert bits(got) == [[1, 1], [0, 1]]
 
 
@@ -265,9 +281,9 @@ def test_restricted_all_ones_when_target_is_product():
         n = int(rng.integers(1, 10))
         a = rng.integers(-4, 5, size=(n, n)).astype(float)
         a[rng.random((n, n)) < 0.1] = INF
-        b = np.where(rng.random((n, n)) < 0.5, NEG_INF, INF)
-        product = minmax_product(a, b)
-        inst = RestrictedInstance(a, b, product)
+        b_neg = rng.random((n, n)) < 0.5
+        product = minmax_product(a, inf_matrix(b_neg))
+        inst = RestrictedInstance(a, b_neg, product)
         assert restricted_target_minmax(inst).all()
 
 
@@ -275,11 +291,11 @@ def test_restricted_plus_inf_target_with_all_plus_inf_column():
     # every b in this column is +inf, so the product is +inf with no
     # (value, -inf) witness anywhere; the bound still forces output 1
     a = np.array([[5.0]])
-    b = np.array([[INF]])
+    b_neg = np.array([[False]])
     target = np.array([[INF]])
-    inst = RestrictedInstance(a, b, target)
+    inst = RestrictedInstance(a, b_neg, target)
     assert bits(restricted_target_minmax(inst, verify=True)) == [[1]]
-    assert bits(target_minmax_naive(a, b, target)) == [[1]]
+    assert bits(target_minmax_naive(a, inf_matrix(b_neg), target)) == [[1]]
 
 
 def assert_both_routes(routes):
@@ -295,7 +311,8 @@ def test_restricted_matches_naive_on_random_instances():
         n = int(rng.integers(1, 33))
         inst = random_restricted_instance(rng, n)
         got, route = restricted_target_minmax(inst, return_routes=True)
-        assert np.array_equal(got, target_minmax_naive(inst.a, inst.b, inst.target))
+        want = target_minmax_naive(inst.a, inf_matrix(inst.b_neg), inst.target)
+        assert np.array_equal(got, want)
         routes.append(route)
     assert_both_routes(routes)
 
@@ -323,12 +340,13 @@ def _check_restricted_hypothesis(data):
     # a value below all others on the drawn entries: where a row holds it
     # more than cutoff times and a -inf meets it, the target's group is heavy
     a[square(st.booleans())] = -5.0
-    b = np.where(square(st.booleans()), NEG_INF, INF)
+    b_neg = square(st.booleans())
+    b = inf_matrix(b_neg)
     slack = square(st.integers(min_value=0, max_value=2)).astype(float)
     product = minmax_product(a, b)
     target = np.where(np.isfinite(product), product - slack, product)
     got, routes = restricted_target_minmax(
-        RestrictedInstance(a, b, target), return_routes=True
+        RestrictedInstance(a, b_neg, target), return_routes=True
     )
     assert np.array_equal(got, target_minmax_naive(a, b, target))
     return routes
@@ -370,11 +388,12 @@ def test_one_row_index_serves_several_targets():
     for _ in range(20):
         n = int(rng.integers(1, 33))
         first = random_restricted_instance(rng, n)
-        a, b = first.a, first.b
+        a, b_neg = first.a, first.b_neg
+        b = inf_matrix(b_neg)
         product = minmax_product(a, b)
         slack = rng.integers(0, 3, size=(n, n)).astype(float)
         target = np.where(np.isfinite(product), product - slack, product)
-        second = RestrictedInstance(a, b, target)
+        second = RestrictedInstance(a, b_neg, target)
         index = build_row_index(a)
         for inst in (first, second, first):
             got, routes = restricted_target_minmax(inst, index=index, return_routes=True)
@@ -413,7 +432,8 @@ def _check_restricted_at_bench_size(n):
     for seed in (0, 1):
         inst = cli._bench_instance(n, seed)
         got, routes = restricted_target_minmax(inst, return_routes=True)
-        assert np.array_equal(got, target_minmax_naive(inst.a, inst.b, inst.target))
+        want = target_minmax_naive(inst.a, inf_matrix(inst.b_neg), inst.target)
+        assert np.array_equal(got, want)
         assert_both_routes([routes])
 
 
@@ -430,11 +450,11 @@ def _check_restricted_memory(a, rng):
     """The restricted product on ``a`` stays under a 64 MiB tracemalloc peak
     and flags exactly the targets that equal a row minimum met by a -inf."""
     n = a.shape[0]
-    b = np.where(rng.random((n, n)) < 0.5, NEG_INF, INF)
+    b_neg = rng.random((n, n)) < 0.5
     # a row's minimum never exceeds the product; one below it occurs nowhere
     row_min = a.min(axis=1)[:, None]
     target = row_min - (rng.random((n, n)) < 0.5)
-    inst = RestrictedInstance(a, b, target)
+    inst = RestrictedInstance(a, b_neg, target)
     tracemalloc.start()
     try:
         got = restricted_target_minmax(inst)
@@ -442,7 +462,7 @@ def _check_restricted_memory(a, rng):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    witness = (a == row_min).astype(np.float32) @ (b == NEG_INF).astype(np.float32)
+    witness = (a == row_min).astype(np.float32) @ b_neg.astype(np.float32)
     assert np.array_equal(got, (target == row_min) & (witness > 0))
 
 

@@ -30,7 +30,7 @@ from minmax_apsp import (
     two_hop_target,
 )
 from minmax_apsp import cli, extmat, products, reduction
-from oracles import random_signed_adjacency
+from oracles import inf_matrix, random_signed_adjacency
 
 INF = POS_INF
 
@@ -62,20 +62,31 @@ def graph_adjacency(monkeypatch, graph, n):
     return workload_adjacency(monkeypatch, graph, n)
 
 
+def stage_calls(monkeypatch, workload, n, names):
+    """Per named reduction stage, the arguments of its every call in a solve
+    of a workload's first graph; the top level's call comes last."""
+    calls = {name: [] for name in names}
+    originals = {name: getattr(reduction, name) for name in names}
+
+    def capturing(name):
+        def capture(*args, **kwargs):
+            calls[name].append(args)
+            return originals[name](*args, **kwargs)
+
+        return capture
+
+    for name in names:
+        monkeypatch.setattr(reduction, name, capturing(name))
+    solve_apsp(workload_adjacency(monkeypatch, workload, n))
+    for name, original in originals.items():
+        monkeypatch.setattr(reduction, name, original)
+    return calls
+
+
 def parity_calls(monkeypatch, workload, n):
     """The arguments of every parity_products call in a solve of a workload's
     first graph; the top level's call comes last."""
-    calls = []
-    original = reduction.parity_products
-
-    def capture(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(reduction, "parity_products", capture)
-    solve_apsp(workload_adjacency(monkeypatch, workload, n))
-    monkeypatch.setattr(reduction, "parity_products", original)
-    return calls
+    return stage_calls(monkeypatch, workload, n, ["parity_products"])["parity_products"]
 
 
 def levels_run(trace):
@@ -149,8 +160,12 @@ def test_two_hop_matches_min_plus_on_workload_levels(monkeypatch, workload):
 def test_parity_masks_definitional():
     c = np.array([[0, 1], [-1, INF]], dtype=float)
     x_plus, x_minus = parity_masks(c)
-    assert x_plus.tolist() == [[INF, NEG_INF], [INF, INF]]
-    assert x_minus.tolist() == [[INF, INF], [NEG_INF, INF]]
+    assert x_plus.tolist() == [[False, True], [False, False]]
+    assert x_minus.tolist() == [[False, False], [True, False]]
+    # the level's int8 edge signs give the same masks
+    signs = np.array([[0, 1], [-1, 0]], dtype=np.int8)
+    for got, want in zip(parity_masks(signs), (x_plus, x_minus)):
+        assert got.dtype == bool and np.array_equal(got, want)
 
 
 def halved_star_of(a):
@@ -211,7 +226,8 @@ def test_shared_row_index_matches_on_workload_levels(monkeypatch, workload):
             alone = restricted_target_minmax(inst, return_routes=True)
             assert np.array_equal(shared[0], alone[0])
             assert np.array_equal(shared[1], alone[1])
-            assert np.array_equal(shared[0], target_minmax_naive(halved_dist, x, target))
+            want = target_minmax_naive(halved_dist, inf_matrix(x), target)
+            assert np.array_equal(shared[0], want)
 
 
 def test_assemble_distances_branches():
@@ -398,12 +414,27 @@ def test_solve_memory_does_not_grow_with_depth(monkeypatch, workload):
 
 def test_parity_products_memory_on_the_top_level(monkeypatch):
     # one row index shared by both products, with int32 offsets and queries:
-    # 15.98 MiB on this level (numpy 2.4), 19.32 MiB with an int64 index per
-    # product
+    # 15.73 MiB on this level (numpy 2.4; 15.98 while the kernel derived its
+    # -inf mask from a float B'), 19.32 MiB with an int64 index per product
     *_, top = parity_calls(monkeypatch, "unit-cli", 512)
     tracemalloc.start()
     try:
         parity_products(*top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17.5 * 2**20
+
+
+def test_parity_stage_memory_on_the_top_level(monkeypatch):
+    # the whole stage from the level's int8 edge signs: two bool masks, not
+    # two float64 +/-inf ones (19.98 MiB with those, 16 B per entry more)
+    calls = stage_calls(monkeypatch, "unit-cli", 512, ["parity_masks", "parity_products"])
+    (signs,) = calls["parity_masks"][-1]
+    halved_dist = calls["parity_products"][-1][0]
+    tracemalloc.start()
+    try:
+        parity_products(halved_dist, *parity_masks(signs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -50,3 +50,12 @@ def test_sweep_exit_status_fails_on_a_new_bad_row(sweep, monkeypatch):
 
     monkeypatch.setattr(sweep, "sweep_row", disagreeing)
     assert sweep.main(["--label", "new"]) == 1
+
+
+def test_sweep_outside_a_checkout_records_src_modified_as_unknown(sweep, tmp_path):
+    # an exported tree: git cannot say whether its src/ is modified
+    root = tmp_path / "exported"
+    root.mkdir()
+    assert sweep.main(["--label", "new", "--root", str(root), "--sizes", "5"]) == 0
+    rows = json.loads(sweep.OUT.read_text(encoding="utf-8"))["rows"]
+    assert [(r["commit"], r["src_modified"]) for r in rows] == [("unknown", None)] * 3
