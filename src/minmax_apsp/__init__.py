@@ -4,8 +4,9 @@ The engine halves all distances recursively through canonical rewiring and a
 two-hop closure, then recovers each pair's parity with two target min-max
 products; the restricted product answers heavy target values through one
 BLAS Boolean matrix product and light ones through short sorted-row scans.
-That product is a solve's only cubic kernel; brute-force oracles
-(Floyd-Warshall, the (min, +) and (min, max) products) serve as checks.
+Every cubic stage runs on one box-compacted counting product
+(``count_product``); brute-force oracles (Floyd-Warshall, the (min, +) and
+(min, max) products) serve as checks.
 """
 
 from .extmat import (
@@ -16,6 +17,7 @@ from .extmat import (
     bool_closure,
     bool_product,
     bounded_hop_closure,
+    count_product,
     ext_add,
     ext_ceil_half,
     minplus_product,
@@ -69,6 +71,7 @@ __all__ = [
     "bool_closure",
     "bool_product",
     "bounded_hop_closure",
+    "count_product",
     "ext_add",
     "ext_ceil_half",
     "minplus_product",

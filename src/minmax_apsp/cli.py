@@ -275,7 +275,7 @@ def _refuse_beyond_memory(nbytes, what):
 
 # Peak bytes per n**2 of one engine solve with verify off (tracemalloc,
 # through `solve`).  A solve has one configuration, so this bounds every
-# solve.  unit-cli reads 93 at n = 1024 and 91 at n = 2048; solve_apsp alone
+# solve.  unit-cli reads 92 at n = 1024 and 91 at n = 2048; solve_apsp alone
 # peaks at 98 at most, neg-cycles at n = 256 (BENCH_solve.json); a `gen`
 # graph of the default density 0.3 reads 90 / 89 / 88 at n = 256 / 512 /
 # 1024.  The largest measured before the bool parity masks was 141.

@@ -8,7 +8,10 @@ comparison and sum below is exact.
 
 Boolean matrices are plain bool ndarrays as well: ``bool_product`` and
 ``bool_closure`` return them.  Only ``bool_product``'s two operands come
-packed, as ``BitMatrix`` bytes.
+packed, as ``BitMatrix`` bytes.  Every cubic stage of a solve runs on one
+float32 kernel, ``count_product``: the Boolean products test its counts
+> 0, and the two-hop halving and the canonical composites threshold
+power-encoded counts.
 """
 
 from __future__ import annotations
@@ -130,25 +133,88 @@ class BitMatrix:
         return bits.view(bool)
 
 
-# float32 elements per block of the left operand, so the block and its product
-# stay near 16 MiB each however many rows the left operand has
-_BLOCK_ELEMENTS = 1 << 22
+# rows of the left operand per block of a counting product: each block is one
+# BLAS call over its own bounding box, and its float32 temporaries stay at
+# _BLOCK_ROWS rows however many rows the left operand has
+_BLOCK_ROWS = 256
+
+
+def _column_reach(q):
+    """(first, stop) per row of q: its first nonzero column and one past its
+    last, or (cols, 0) for an empty row, which then widens no box."""
+    rows, cols = q.shape
+    if not cols:
+        return np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=np.intp)
+    nonzero = q != 0
+    first = nonzero.argmax(axis=1)
+    stop = cols - nonzero[:, ::-1].argmax(axis=1)
+    empty = ~nonzero[np.arange(rows), first]
+    first[empty] = cols
+    stop[empty] = 0
+    return first, stop
+
+
+def _count_block(left, q, reach, out):
+    """out[:] = left @ q for one block of rows, multiplied only over the
+    bounding box of the block's nonzero inner indices (those whose row of q is
+    nonempty) and of the columns those rows of q reach.  Every skipped term
+    is zero, so the box changes no sum.  The BLAS call writes into ``out``
+    through slices, so it gathers nothing and allocates no product."""
+    first, stop = reach
+    used = np.flatnonzero(left.any(axis=0) & (first < stop))
+    if not used.size:
+        out[:] = 0
+        return
+    lo, hi = used[0], used[-1] + 1
+    col_lo, col_hi = first[lo:hi].min(), stop[lo:hi].max()
+    out[:, :col_lo] = 0
+    out[:, col_hi:] = 0
+    np.matmul(left[:, lo:hi], q[lo:hi, col_lo:col_hi], out=out[:, col_lo:col_hi])
+
+
+def count_product(p, q) -> np.ndarray:
+    """The float32 product p @ q of two nonnegative float32 matrices, one
+    block of ``_BLOCK_ROWS`` rows of p at a time, each block a single BLAS
+    call over its bounding box (``_count_block``).
+
+    Exactness, in any summation order and for any BLAS and thread count:
+    a float32 sum of m nonnegative terms, added in any order, lies within a
+    factor 1 +/- gamma of its exact value, gamma = m u / (1 - m u) with
+    u = 2^-24.  So a sum is positive iff some term is, and testing > 0 is
+    exact.  Callers that encode classes as powers of two (the two-hop
+    halving, the canonical composites) keep their classes a factor 4 apart
+    and threshold halfway, which that bound keeps exact for m <= 2^21."""
+    p = np.asarray(p, dtype=np.float32)
+    q = np.asarray(q, dtype=np.float32)
+    if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[0]:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
+    reach = _column_reach(q)
+    out = np.empty((p.shape[0], q.shape[1]), dtype=np.float32)
+    for start in range(0, p.shape[0], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        _count_block(p[start:stop], q, reach, out[start:stop])
+    return out
 
 
 def bool_product(p: BitMatrix, q: BitMatrix) -> np.ndarray:
     """Boolean matrix product as a C-contiguous (p.rows, q.cols) bool array:
-    one float32 BLAS product of the 0/1 matrices per block of ``p``'s rows.
-    A float sum of nonnegative terms is positive iff some term is, in any
-    order, so ``> 0`` is exact for any BLAS."""
+    the counts of ``count_product``'s block kernel, > 0.  ``p`` is unpacked
+    one block of ``_BLOCK_ROWS`` rows at a time into one reused float32
+    buffer, and each block's counts land in another, so no temporary grows
+    with p.rows; q's column reach is found once for all blocks."""
     if p.cols != q.rows:
         raise ValueError(f"dimension mismatch: {p.cols} vs {q.rows}")
     right = q.to_bool().astype(np.float32)
-    block = max(1, _BLOCK_ELEMENTS // max(p.cols, q.cols, 1))
+    reach = _column_reach(right)
     out = np.empty((p.rows, q.cols), dtype=bool)
-    for start in range(0, p.rows, block):
-        words = p.words[start : start + block]
-        left = BitMatrix(words.shape[0], p.cols, words).to_bool().astype(np.float32)
-        np.greater(left @ right, 0, out=out[start : start + block])
+    left = np.empty((min(p.rows, _BLOCK_ROWS), p.cols), dtype=np.float32)
+    counts = np.empty((left.shape[0], q.cols), dtype=np.float32)
+    for start in range(0, p.rows, _BLOCK_ROWS):
+        words = p.words[start : start + _BLOCK_ROWS]
+        rows = words.shape[0]
+        np.copyto(left[:rows], BitMatrix(rows, p.cols, words).to_bool())
+        _count_block(left[:rows], right, reach, counts[:rows])
+        np.greater(counts[:rows], 0, out=out[start : start + rows])
     return out
 
 

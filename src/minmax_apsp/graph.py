@@ -20,6 +20,7 @@ from .extmat import (
     bool_closure,
     bool_product,
     bounded_hop_closure,
+    count_product,
 )
 
 WEIGHTS = (-1, 0, 1)
@@ -101,6 +102,23 @@ def canonical_adjacency(a) -> np.ndarray:
     minimum weight.  Distances are preserved because every composite edge is
     the weight of a real path.  Rewiring is idempotent: it maps its own
     output to itself.
+
+    Both composites come from one power-encoded product pair,
+    S = (Z* (y N + P)) Z*, with Z* the zero-run closure, N and P the masks of
+    the -1 and +1 edges (disjoint), and y the smallest power of two
+    >= 4 n^2.  S[i, j] = y * (negative composites i -> j) + (positive ones),
+    so a pair is -1 where S >= y / 2, else 0 on Z*, else 1 where S > 0, else
+    +inf.
+
+    Exact in any summation order.  There are at most n^2 composites of each
+    sign, so without a negative one S <= n^2 <= y / 4, and with one S >= y.
+    Every product of two entries is exact in float32 (y is a power of two,
+    Z* is 0/1), and every term is at least 1, so S > 0 exactly when some
+    composite exists.  By ``count_product``'s rounding bound each of the two
+    chained products is within a factor 1 +/- gamma of its exact sum, with
+    gamma <= n 2^-24 / (1 - n 2^-24), so S is within (1 +/- gamma)^2; for
+    n <= 2^21 that keeps both classes on their side of y / 2, and the
+    largest sum, y n^2 <= 8 n^4, is far inside float32's range.
     """
     a = as_square(a)
     n = a.shape[0]
@@ -119,16 +137,15 @@ def canonical_adjacency(a) -> np.ndarray:
         # Z* = I, so both composites are a itself (+ 0.0 turns -0.0 into 0.0)
         return a + 0.0
     zero_reach = bool_closure(zero_edges)
-    # both weights in two products: Z*.[N | P], then [Z*N ; Z*P].Z*
-    reach = BitMatrix.from_bool(zero_reach)
-    signed = BitMatrix.from_bool(np.hstack([a == -1, a == 1]))
-    span = bool_product(reach, signed)
-    stacked = BitMatrix.from_bool(np.vstack([span[:, :n], span[:, n:]]))
-    composite = bool_product(stacked, reach)
+    y = np.float32(2 ** (4 * n * n - 1).bit_length())
+    weighted = (a == 1).astype(np.float32)
+    weighted[a == -1] = y
+    reach = zero_reach.astype(np.float32)
+    s = count_product(count_product(reach, weighted), reach)
     c = np.full((n, n), POS_INF)
-    c[composite[n:]] = 1.0
+    c[s > 0] = 1.0
     c[zero_reach] = 0.0  # includes the reflexive diagonal
-    c[composite[:n]] = -1.0
+    c[s >= y / 2] = -1.0
     return c
 
 

@@ -8,11 +8,11 @@ all +/-inf, so it is Boolean: the instance holds it as the bool mask of its
 product groups the columns of every row of the left matrix by value into one
 flat (row, value) group index, finds the group of every target at once by
 binary search on the sorted group keys, and answers targets in heavy groups
-(more than ceil(sqrt(n)) columns) through one Boolean matrix product and
-targets in light groups by scanning the group's few columns of the mask.  The
-index, with its heavy matrix, depends on the left matrix alone, so products
-that share it (the two parity products of a recursion level) build it once
-and pass it in.  Both target products return (n, n) bool arrays.
+(more than ceil(sqrt(n)) columns, of a value other than +inf) through one
+Boolean matrix product and targets in light groups by scanning the group's
+few columns of the mask.  The index, with its heavy matrix, depends on the
+left matrix alone, so products that share it (the two parity products of a
+recursion level) build it once and pass it in.  Both target products return (n, n) bool arrays.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ class RowIndex:
     among the matrix's ``values``; keys ascend, so groups run row-major in
     ascending value order.  Its columns, ascending, are
     ``columns[starts[g]:starts[g + 1]]``.  A group is heavy when it holds
-    strictly more than ``cutoff`` columns; heavy groups get consecutive ids in
-    group order, so the heavy matrix is reproducible bit for bit, and light
+    strictly more than ``cutoff`` columns and its value is not +inf: a +inf
+    target is answered without a lookup (ROUTE_TARGET_INF), so no query ever
+    reads a +inf group, and it stays light.  Heavy groups get consecutive ids
+    in group order, so the heavy matrix is reproducible bit for bit, and light
     groups carry heavy id -1.  ``heavy`` is that matrix, one row per heavy
     group (``build_heavy_matrix``).
 
@@ -111,8 +113,9 @@ class RowIndex:
 
 
 def build_row_index(a) -> RowIndex:
-    """Group every row's columns by value, mark the groups holding more than
-    ceil(sqrt(n)) columns heavy, and build their heavy matrix.
+    """Group every row's columns by value, mark the groups of finite or -inf
+    value holding more than ceil(sqrt(n)) columns heavy, and build their
+    heavy matrix.
 
     The cutoff only balances cost, so the product's answer is the same at
     every cutoff; this one is the smallest m with m * m >= n, in exact
@@ -142,7 +145,7 @@ def build_row_index(a) -> RowIndex:
     values = np.unique(head_vals)
     keys = heads // n * values.size + np.searchsorted(values, head_vals)
     starts = np.append(heads, rows * n).astype(np.int32)
-    heavy = np.diff(starts) > cutoff
+    heavy = (np.diff(starts) > cutoff) & (head_vals != POS_INF)
     heavy_id = np.where(heavy, np.cumsum(heavy, dtype=np.int32) - 1, np.int32(-1))
     index = RowIndex(
         rows, n, cutoff, values, keys, starts, columns, heavy_id, int(heavy.sum())
@@ -230,9 +233,10 @@ def restricted_target_minmax(
     ``index`` is ``build_row_index(instance.a)``, built here when it is None.
     Products with the same left matrix can share one: the call only reads it.
     An index of another shape raises ValueError.  Groups of more than
-    ceil(sqrt(n)) columns are heavy.  With verify=True the target bound is
-    asserted first (cubic).  With return_routes=True a second (n, n) int8
-    array of ROUTE_* codes is returned for diagnostics.
+    ceil(sqrt(n)) columns are heavy, unless their value is +inf.  With
+    verify=True the target bound is asserted first (cubic).  With
+    return_routes=True a second (n, n) int8 array of ROUTE_* codes is
+    returned for diagnostics.
     """
     a, b_neg, target = instance.a, instance.b_neg, instance.target
     n = a.shape[0]

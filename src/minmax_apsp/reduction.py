@@ -1,15 +1,15 @@
 """The recursive halving engine.
 
 Each level rewires the graph canonically, halves all distances through a
-two-hop closure (three Boolean products), solves the halved instance
-recursively, and then recovers the lost parity bit with two restricted
-target products: one against the canonical +1 edges, one against the -1
-edges.  A pair's distance is odd exactly when one of the two products fires.
-Both products have the halved distances as their left matrix, so they share
-one row index.  The products' heavy/light cutoff only balances their cost; no
-output depends on it.  Once a level's halving returns its own canonical
-matrix, every deeper level would repeat it, so the recursion goes straight to
-delta = 1.
+two-hop closure (one power-encoded counting product), solves the halved
+instance recursively, and then recovers the lost parity bit with two
+restricted target products: one against the canonical +1 edges, one against
+the -1 edges.  A pair's distance is odd exactly when one of the two products
+fires.  Both products have the halved distances as their left matrix, so
+they share one row index.  The products' heavy/light cutoff only balances
+their cost; no output depends on it.  Once a level's halving returns its own
+canonical matrix, every deeper level would repeat it, so the recursion goes
+straight to delta = 1.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import extmat, products
-from .extmat import POS_INF, BitMatrix, VerificationError, as_square, ext_ceil_half
+from . import products
+from .extmat import POS_INF, VerificationError, as_square, count_product, ext_ceil_half
 from .graph import canonical_adjacency, is_delta_regular, one_regular_apsp, oracle_apsp
 from .products import RestrictedInstance, restricted_target_minmax
 
@@ -51,27 +51,43 @@ class RecursionTrace:
 
 def two_hop_target(canonical) -> np.ndarray:
     """Halved two-hop closure ext_ceil_half(minplus_product(c, c)) of a
-    canonical adjacency c with entries in {-1, 0, 1, +inf}, from Boolean
-    products of N = (c == -1), Z = (c <= 0) and F = finite: -1 where N.N is
-    set, else 0 where N.F + F.N + Z.Z is set, else 1 where F.F is set, else
-    +inf (the small-weight reduction of Alon-Galil-Margalit and Zwick)."""
+    canonical adjacency c with entries in {-1, 0, 1, +inf}, from one
+    power-encoded product (the small-weight encoding of Alon-Galil-Margalit
+    and Zwick).
+
+    Each entry is encoded as y^(1 - c), so -1 -> y^2, 0 -> y, 1 -> 1, and
+    +inf -> 0, with y the smallest power of two >= 4 n.  Then S = E E holds
+    one term y^(2 - s) per middle vertex k whose two-hop weight
+    s = c[i, k] + c[k, j] is finite.  The halved value ceil(min s / 2) is -1
+    where S >= y^4 / 2, else 0 where S >= y^2 / 2, else 1 where S > 0, else
+    +inf.
+
+    Exact in any summation order.  Every term is a power of two, exact in
+    float32, and at most n terms share a sum.  So without a term y^4 a sum
+    is at most n y^3 <= y^4 / 4, and without one of y^2 or more it is at
+    most n y <= y^2 / 4: the classes lie a factor 4 apart, either side of
+    each threshold, and every term is at least 1.  ``count_product``'s
+    rounding bound, a factor 1 +/- gamma with gamma <= n 2^-24 /
+    (1 - n 2^-24), keeps them there for n <= 2^21, where the largest sum,
+    n y^4 <= 2^12 n^5, is far inside float32's range.
+    """
     c = as_square(canonical)
-    legal = (c == -1) | (c == 0) | (c == 1) | (c == POS_INF)
+    neg, zero, pos = c == -1, c == 0, c == 1
+    legal = neg | zero | pos | (c == POS_INF)
     if not legal.all():
         i, j = np.argwhere(~legal)[0]
         raise VerificationError(
             f"canonical entry ({i}, {j}) = {c[i, j]} left {{-1, 0, 1, +inf}}"
         )
-    neg, zero, finite = c == -1, c <= 0, c < POS_INF
-
-    # looked up on extmat, so that perfbench's tracer counts these products
-    def product(p, q):
-        return extmat.bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
-
+    y = np.float32(2 ** (4 * c.shape[0] - 1).bit_length())
+    code = pos.astype(np.float32)
+    code[zero] = y
+    code[neg] = y * y
+    s = count_product(code, code)
     halved = np.full(c.shape, POS_INF)
-    halved[product(finite, finite)] = 1.0
-    halved[product(np.hstack([neg, finite, zero]), np.vstack([finite, neg, zero]))] = 0.0
-    halved[product(neg, neg)] = -1.0
+    halved[s > 0] = 1.0
+    halved[s >= y * y / 2] = 0.0
+    halved[s >= y**4 / 2] = -1.0
     return halved
 
 

@@ -1,8 +1,10 @@
 """Independent reference implementations, kept deliberately naive.
 
-Everything here is written with scalar Python loops straight off the
+Most of this is written with scalar Python loops straight off the
 definitions, so a shared bug with the vectorized production kernels is as
-unlikely as we can make it.
+unlikely as we can make it.  The stage oracles (the three-mask two-hop and
+the stacked composites) have to run at n = 512, so they use one dense numpy
+product per Boolean product instead, never the package's kernels.
 """
 
 import numpy as np
@@ -71,6 +73,54 @@ def naive_canonical(a):
     out[positive] = 1.0
     out[reach] = 0.0
     out[negative] = -1.0
+    return out
+
+
+def dense_bool_product(p, q):
+    """Boolean product as one dense float32 matmul of the 0/1 matrices, > 0:
+    fast enough for n = 512, and independent of the package's blocked,
+    box-compacted kernel."""
+    return (np.asarray(p, dtype=np.float32) @ np.asarray(q, dtype=np.float32)) > 0
+
+
+def dense_closure(relation):
+    """Reflexive-transitive closure by dense squaring until it stops changing."""
+    r = np.asarray(relation, dtype=bool) | np.eye(len(relation), dtype=bool)
+    while True:
+        squared = dense_bool_product(r, r)
+        if np.array_equal(squared, r):
+            return r
+        r = squared
+
+
+def three_mask_two_hop(c):
+    """ext_ceil_half(min-plus square) of a matrix over {-1, 0, 1, +inf} from
+    three Boolean products of N = (c == -1), Z = (c <= 0), F = (c < +inf):
+    -1 where N N is set, else 0 where N F + F N + Z Z is set, else 1 where
+    F F is set, else +inf."""
+    c = np.asarray(c, dtype=np.float64)
+    neg, zero, finite = c == -1, c <= 0, c < POS_INF
+    halved = np.full(c.shape, POS_INF)
+    halved[dense_bool_product(finite, finite)] = 1.0
+    stacked = dense_bool_product(np.hstack([neg, finite, zero]), np.vstack([finite, neg, zero]))
+    halved[stacked] = 0.0
+    halved[dense_bool_product(neg, neg)] = -1.0
+    return halved
+
+
+def stacked_canonical(a):
+    """Canonical rewiring from the stacked Boolean composites: Z* [N | P],
+    then [Z* N ; Z* P] Z*; -1 where the first half is set, else 0 on Z*, else
+    1 where the second half is set, else +inf."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    reach = dense_closure((a == 0) & ~np.eye(n, dtype=bool))
+    span = dense_bool_product(reach, np.hstack([a == -1, a == 1]))
+    composite = dense_bool_product(np.vstack([span[:, :n], span[:, n:]]), reach)
+    out = np.full((n, n), POS_INF)
+    out[composite[n:]] = 1.0
+    out[reach] = 0.0
+    out[composite[:n]] = -1.0
     return out
 
 

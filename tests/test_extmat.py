@@ -12,6 +12,7 @@ from minmax_apsp import (
     bool_closure,
     bool_product,
     bounded_hop_closure,
+    count_product,
     ext_add,
     ext_ceil_half,
     minplus_product,
@@ -244,6 +245,62 @@ def test_bool_product_memory_is_bounded_for_tall_operands():
     rows = np.r_[0:64, 8160:8224, 65472:65536]
     want = integer_bool_product(dense_p[rows], q.to_bool())
     assert np.array_equal(got[rows], want)
+
+
+def structured(rng, rows, cols, structure, density):
+    """A (rows, cols) bool pattern of one structure the box compaction meets:
+    triangular (a DAG's matrices), block-diagonal, or with empty rows or
+    columns, which shrink a block's inner or column range."""
+    pattern = rng.random((rows, cols)) < density
+    if structure == "upper":
+        pattern &= np.triu(np.ones((rows, cols), dtype=bool))
+    elif structure == "lower":
+        pattern &= np.tril(np.ones((rows, cols), dtype=bool))
+    elif structure == "block-diagonal":
+        blocks = int(rng.integers(1, 5))
+        pattern &= (np.arange(rows) * blocks // max(rows, 1))[:, None] == (
+            np.arange(cols) * blocks // max(cols, 1)
+        )
+    elif structure == "empty-rows":
+        pattern[rng.random(rows) < 0.5] = False
+    elif structure == "empty-columns":
+        pattern[:, rng.random(cols) < 0.5] = False
+    return pattern
+
+
+STRUCTURES = st.sampled_from(
+    ["dense", "upper", "lower", "block-diagonal", "empty-rows", "empty-columns"]
+)
+# row counts below, at and past the product's row blocks
+ROWS = st.one_of(st.sampled_from([0, 1, 255, 256, 257, 600]), st.integers(0, 130))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ROWS, SIZES, SIZES, STRUCTURES, STRUCTURES, DENSITIES, st.integers(0, 2**32 - 1))
+@example(600, 130, 130, "upper", "upper", 1.0, 0)
+@example(0, 3, 5, "dense", "dense", 1.0, 0)
+@example(4, 0, 5, "dense", "dense", 1.0, 0)
+@example(4, 3, 0, "dense", "dense", 1.0, 0)
+def test_count_product_matches_integer_matmul(rows, inner, cols, sp, sq, density, seed):
+    # entries 0 or a power of two up to 2**8, as in the power-encoded stages:
+    # every sum stays below 2**24, so float32 holds it exactly
+    rng = np.random.default_rng(seed)
+    p = structured(rng, rows, inner, sp, density)
+    q = structured(rng, inner, cols, sq, density)
+    p_int = p * 2 ** rng.integers(0, 9, size=p.shape)
+    q_int = q * 2 ** rng.integers(0, 9, size=q.shape)
+    want = p_int @ q_int
+    got = count_product(p_int.astype(np.float32), q_int.astype(np.float32))
+    assert got.dtype == np.float32 and got.shape == (rows, cols)
+    assert np.array_equal(got, want)
+    bits = bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
+    assert np.array_equal(bits, want > 0)
+
+
+def test_count_product_dimension_mismatch():
+    for p, q in ((np.zeros((2, 3)), np.zeros((4, 2))), (np.zeros(3), np.zeros((3, 1)))):
+        with pytest.raises(ValueError):
+            count_product(p, q)
 
 
 def test_bool_product_dimension_mismatch():

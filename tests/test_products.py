@@ -184,11 +184,25 @@ def test_row_index_groups_match_the_matrix(data):
             g = group(idx, i, value)
             columns = idx.columns[idx.starts[g] : idx.starts[g + 1]]
             assert columns.tolist() == np.flatnonzero(a[i] == value).tolist()
-            assert (idx.heavy_id[g] >= 0) == (columns.size > idx.cutoff)
+            heavy = columns.size > idx.cutoff and value != INF
+            assert (idx.heavy_id[g] >= 0) == heavy
             if idx.heavy_id[g] >= 0:
                 assert np.array_equal(h[idx.heavy_id[g]], a[i] == value)
             groups += 1
     assert idx.keys.size == groups
+
+
+def test_row_index_keeps_plus_inf_groups_light():
+    # a +inf target takes the TARGET_INF route, so no query reads a +inf group
+    n = 16
+    a = np.zeros((2, n))
+    a[0, :8] = INF
+    a[1, :] = INF
+    idx = build_row_index(a)
+    assert idx.heavy_rows == 1
+    assert heavy_row(idx, 0, 0.0) == 0
+    assert heavy_row(idx, 0, INF) is None and group(idx, 0, INF) >= 0
+    assert heavy_row(idx, 1, INF) is None and group(idx, 1, INF) >= 0
 
 
 def test_heavy_matrix_empty_registry():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from minmax_apsp import (
     two_hop_target,
 )
 from minmax_apsp import cli, extmat, products, reduction
-from oracles import inf_matrix, random_signed_adjacency
+from oracles import inf_matrix, random_signed_adjacency, stacked_canonical, three_mask_two_hop
 
 INF = POS_INF
 
@@ -62,9 +65,10 @@ def graph_adjacency(monkeypatch, graph, n):
     return workload_adjacency(monkeypatch, graph, n)
 
 
-def stage_calls(monkeypatch, workload, n, names):
+def stage_calls(monkeypatch, graph, n, names):
     """Per named reduction stage, the arguments of its every call in a solve
-    of a workload's first graph; the top level's call comes last."""
+    of a workload's first graph or a path, in call order: the top level's
+    rewiring and halving come first, its parity products last."""
     calls = {name: [] for name in names}
     originals = {name: getattr(reduction, name) for name in names}
 
@@ -77,7 +81,7 @@ def stage_calls(monkeypatch, workload, n, names):
 
     for name in names:
         monkeypatch.setattr(reduction, name, capturing(name))
-    solve_apsp(workload_adjacency(monkeypatch, workload, n))
+    solve_apsp(graph_adjacency(monkeypatch, graph, n))
     for name, original in originals.items():
         monkeypatch.setattr(reduction, name, original)
     return calls
@@ -147,14 +151,78 @@ def test_two_hop_matches_min_plus_on_any_canonical_entries(c):
     assert np.array_equal(two_hop_target(c), halved_two_hop_oracle(c))
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_two_hop_matches_min_plus_on_workload_levels(monkeypatch, workload):
-    # the two-hop inputs of the first three levels at n = 512
-    a = workload_adjacency(monkeypatch, workload, 512)
-    for _ in range(3):
-        c = canonical_adjacency(a)
-        a = two_hop_target(c)
-        assert np.array_equal(a, halved_two_hop_oracle(c))
+@pytest.mark.parametrize("graph", WORKLOADS + list(PATHS))
+def test_two_hop_matches_min_plus_on_workload_levels(monkeypatch, graph):
+    # the two-hop input of every level a solve runs at n = 512
+    calls = stage_calls(monkeypatch, graph, 512, ["two_hop_target"])["two_hop_target"]
+    assert len(calls) > 1
+    for (c,) in calls:
+        got = two_hop_target(c)
+        assert np.array_equal(got, three_mask_two_hop(c))
+        assert np.array_equal(got, halved_two_hop_oracle(c))
+
+
+@pytest.mark.parametrize("graph", WORKLOADS + list(PATHS))
+def test_canonical_matches_stacked_composites_on_every_level(monkeypatch, graph):
+    # the rewiring input of every level a solve runs at n = 512; the +1 path
+    # never has zero edges, the -1 path gets them from its first halving
+    calls = stage_calls(monkeypatch, graph, 512, ["canonical_adjacency"])
+    assert len(calls["canonical_adjacency"]) > 1
+    for (a,) in calls["canonical_adjacency"]:
+        assert np.array_equal(canonical_adjacency(a), stacked_canonical(a))
+
+
+# every level of the three workloads and the two paths at n = 512, both
+# stages against their oracles; prints one digest of all the stage outputs
+STAGES_SCRIPT = """
+import hashlib
+import numpy as np
+import minmax_apsp
+from minmax_apsp import SignedGraph, reduction
+from oracles import stacked_canonical, three_mask_two_hop
+from solvebench import make_graph
+
+n = 512
+graphs = {w: make_graph(minmax_apsp, w, n, 3) for w in ("neg-cycles", "long-dag", "unit-cli")}
+for name, weight in (("plus-path", 1), ("minus-path", -1)):
+    graphs[name] = SignedGraph(n, tuple((i, i + 1, weight) for i in range(n - 1)))
+digest = hashlib.sha256()
+rewire = reduction.canonical_adjacency
+for name, graph in graphs.items():
+    inputs = []
+
+    def capture(a):
+        inputs.append(a)
+        return rewire(a)
+
+    reduction.canonical_adjacency = capture
+    minmax_apsp.solve_apsp(minmax_apsp.adjacency_from_graph(graph))
+    reduction.canonical_adjacency = rewire
+    assert len(inputs) > 1, name
+    for a in inputs:
+        c = rewire(a)
+        halved = reduction.two_hop_target(c)
+        assert np.array_equal(c, stacked_canonical(a)), name
+        assert np.array_equal(halved, three_mask_two_hop(c)), name
+        digest.update(c.tobytes() + halved.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_power_encoded_stages_across_blas_thread_counts():
+    src = Path(minmax_apsp.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (src, tests, PERFBENCH)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        env["OMP_NUM_THREADS"] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", STAGES_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0].strip() and digests[0] == digests[1]
 
 
 def test_parity_masks_definitional():
