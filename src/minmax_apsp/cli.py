@@ -281,6 +281,10 @@ def _refuse_beyond_memory(nbytes, what):
 # 1024.  The largest measured before the bool parity masks was 141.
 SOLVE_BYTES_PER_ENTRY = 192
 
+# Peak bytes per n**2 of `solve --algorithm oracle` (tracemalloc, through
+# `solve`): 57 to 65 at `gen` densities 0 to 0.3 and n = 128 to 2048.
+ORACLE_BYTES_PER_ENTRY = 72
+
 # Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)
 # per ordered pair and per edge, rounded up from n = 500: 24 bytes per pair
 # at densities 0 to 0.1 (the presence draws), 188.5 at density 1.
@@ -293,12 +297,12 @@ GEN_BYTES_PER_EDGE = 168
 # 1.3 MiB of modules once (numpy.ma among them), which no bound counts.
 BENCH_BYTES_PER_ENTRY = 128
 
-# Peak bytes of `product` (tracemalloc, parsing included): 88 to 90 per
+# Peak bytes of `product` (tracemalloc, parsing included): 88 to 89 per
 # n**2 on bench instances at n = 256 / 512 / 1024, plus the restricted
-# kernel's heavy matrix H and F = H.B'.  A row holds at most isqrt(n) heavy
-# groups, so each of those has at most n**2 * isqrt(n) entries; the
-# most-heavy case, rows split into groups of cutoff + 1 columns, peaks at
-# 164 / 178 / 111 per n**2.
+# kernel's heavy matrix H and F = H.B', one bool byte per entry each.  A row
+# holds at most isqrt(n) heavy groups, so each of those has at most
+# n**2 * isqrt(n) entries; the most-heavy case, rows split into groups of
+# cutoff + 1 columns, peaks at 93 / 98 / 114 per n**2.
 PRODUCT_BYTES_PER_ENTRY = 128
 PRODUCT_BYTES_PER_HEAVY_ENTRY = 4
 
@@ -308,13 +312,11 @@ def _read_adjacency(path, *, engine, verify=False) -> np.ndarray:
     when the solve's peak would exceed physical memory."""
     graph = parse_edge_list(_read(path))
     n = graph.n
-    per_entry = 8  # the oracle's first array is the n x n float64 adjacency
-    if engine:
-        per_entry = SOLVE_BYTES_PER_ENTRY
-        if verify:
-            # every level (one per halving of n**2, plus the base case) keeps
-            # its float64 oracle distances across the recursion
-            per_entry += 8 * ((n * n - 1).bit_length() + 1)
+    per_entry = SOLVE_BYTES_PER_ENTRY if engine else ORACLE_BYTES_PER_ENTRY
+    if verify:  # the engine's: `solve --algorithm oracle` refuses --verify
+        # every level (one per halving of n**2, plus the base case) keeps
+        # its float64 oracle distances across the recursion
+        per_entry += 8 * ((n * n - 1).bit_length() + 1)
     _refuse_beyond_memory(
         per_entry * n**2, f"solving n={n} at {per_entry} bytes per entry"
     )
@@ -529,7 +531,10 @@ def _build_parser():
 
 def main(argv=None) -> int:
     """Run one subcommand, mapping domain failures to the documented exit codes."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.algorithm == "oracle" and args.verify:
+        parser.error("solve --algorithm oracle runs no self-checks: drop --verify")
     try:
         return args.handler(args)
     except ParseError as exc:

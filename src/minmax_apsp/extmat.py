@@ -7,8 +7,8 @@ Finite values stay far inside the exact-integer range of float64, so every
 comparison and sum below is exact.
 
 Boolean matrices are plain bool ndarrays as well: ``bool_product`` and
-``bool_closure`` return them.  Only ``bool_product``'s two operands come
-packed, as ``BitMatrix`` bytes.  Every cubic stage of a solve runs on one
+``bool_closure`` return them, and ``bool_product``'s two operands are bool
+arrays wrapped in ``BitMatrix``.  Every cubic stage of a solve runs on one
 float32 kernel, ``count_product``: the Boolean products test its counts
 > 0, and the two-hop halving and the canonical composites threshold
 power-encoded counts.
@@ -108,29 +108,20 @@ def bounded_hop_closure(a, hops):
 
 
 class BitMatrix:
-    """A 0/1 operand of ``bool_product``, each row packed by ``np.packbits``
-    into bytes (bit j of byte w holds column 8*w + j; padding bits past
-    ``cols`` are zero).  Operands stay packed only because the benchmark's
-    tracer counts their set bits from ``words``; every result is a plain bool
-    array."""
+    """A 0/1 operand of ``bool_product``: the bool array ``bits``, not copied
+    from a bool input.  Each read of ``words`` packs it into bytes (bit j of
+    byte w is column 8*w + j) for the benchmark's tracer, which counts bits."""
 
-    __slots__ = ("rows", "cols", "words")
+    __slots__ = ("bits",)
 
-    def __init__(self, rows, cols, words):
-        self.rows = rows
-        self.cols = cols
-        self.words = words
+    def __init__(self, array):
+        self.bits = np.asarray(array, dtype=bool)
+        if self.bits.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {self.bits.shape}")
 
-    @classmethod
-    def from_bool(cls, array) -> "BitMatrix":
-        array = np.asarray(array, dtype=bool)
-        if array.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {array.shape}")
-        return cls(*array.shape, np.packbits(array, axis=1, bitorder="little"))
-
-    def to_bool(self) -> np.ndarray:
-        bits = np.unpackbits(self.words, axis=1, count=self.cols, bitorder="little")
-        return bits.view(bool)
+    @property
+    def words(self) -> np.ndarray:
+        return np.packbits(self.bits, axis=1, bitorder="little")
 
 
 # rows of the left operand per block of a counting product: each block is one
@@ -197,24 +188,24 @@ def count_product(p, q) -> np.ndarray:
 
 
 def bool_product(p: BitMatrix, q: BitMatrix) -> np.ndarray:
-    """Boolean matrix product as a C-contiguous (p.rows, q.cols) bool array:
-    the counts of ``count_product``'s block kernel, > 0.  ``p`` is unpacked
-    one block of ``_BLOCK_ROWS`` rows at a time into one reused float32
-    buffer, and each block's counts land in another, so no temporary grows
-    with p.rows; q's column reach is found once for all blocks."""
-    if p.cols != q.rows:
-        raise ValueError(f"dimension mismatch: {p.cols} vs {q.rows}")
-    right = q.to_bool().astype(np.float32)
+    """Boolean matrix product as a C-contiguous bool array: the counts of
+    ``count_product``'s block kernel, > 0.  ``p`` is copied one block of
+    ``_BLOCK_ROWS`` rows at a time into one reused float32 buffer, and each
+    block's counts land in another, so no temporary grows with p's rows."""
+    rows, inner = p.bits.shape
+    if inner != q.bits.shape[0]:
+        raise ValueError(f"dimension mismatch: {inner} vs {q.bits.shape[0]}")
+    right = q.bits.astype(np.float32)
     reach = _column_reach(right)
-    out = np.empty((p.rows, q.cols), dtype=bool)
-    left = np.empty((min(p.rows, _BLOCK_ROWS), p.cols), dtype=np.float32)
-    counts = np.empty((left.shape[0], q.cols), dtype=np.float32)
-    for start in range(0, p.rows, _BLOCK_ROWS):
-        words = p.words[start : start + _BLOCK_ROWS]
-        rows = words.shape[0]
-        np.copyto(left[:rows], BitMatrix(rows, p.cols, words).to_bool())
-        _count_block(left[:rows], right, reach, counts[:rows])
-        np.greater(counts[:rows], 0, out=out[start : start + rows])
+    out = np.empty((rows, right.shape[1]), dtype=bool)
+    left = np.empty((min(rows, _BLOCK_ROWS), inner), dtype=np.float32)
+    counts = np.empty((left.shape[0], right.shape[1]), dtype=np.float32)
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = p.bits[start : start + _BLOCK_ROWS]
+        size = block.shape[0]
+        np.copyto(left[:size], block)
+        _count_block(left[:size], right, reach, counts[:size])
+        np.greater(counts[:size], 0, out=out[start : start + size])
     return out
 
 
@@ -226,8 +217,7 @@ def bool_closure(relation) -> np.ndarray:
         raise ValueError(f"closure needs a square matrix, got shape {relation.shape}")
     current = relation | np.eye(relation.shape[0], dtype=bool)
     while True:
-        packed = BitMatrix.from_bool(current)
-        squared = bool_product(packed, packed)
+        squared = bool_product(BitMatrix(current), BitMatrix(current))
         if np.array_equal(squared, current):
             return current
         current = squared

@@ -93,6 +93,18 @@ def oracle_apsp(a) -> np.ndarray:
     return d
 
 
+def check_adjacency(a) -> np.ndarray:
+    """``a`` as a square float64 array; ValueError if it breaks the convention."""
+    a = as_square(a)
+    legal = np.isin(a, (-1, 0, 1, POS_INF))
+    np.fill_diagonal(legal, np.isin(np.diagonal(a), (0, -1)))
+    if not legal.all():
+        i, j = np.argwhere(~legal)[0]
+        allowed = "{0, -1} (the diagonal)" if i == j else "{-1, 0, 1, +inf}"
+        raise ValueError(f"a[{i}, {j}] = {a[i, j]} outside {allowed}")
+    return a
+
+
 def canonical_adjacency(a) -> np.ndarray:
     """Rewire a {-1, 0, 1} adjacency so shortest paths never need zero-weight
     edges (except as single edges) and never need more hops.
@@ -120,19 +132,10 @@ def canonical_adjacency(a) -> np.ndarray:
     n <= 2^21 that keeps both classes on their side of y / 2, and the
     largest sum, y n^2 <= 8 n^4, is far inside float32's range.
     """
-    a = as_square(a)
+    a = check_adjacency(a)
     n = a.shape[0]
-    diag = np.diagonal(a)
-    off = ~np.eye(n, dtype=bool)
-    legal_off = (a == -1) | (a == 0) | (a == 1) | (a == POS_INF)
-    if not (legal_off | ~off).all():
-        i, j = np.argwhere(~legal_off & off)[0]
-        raise ValueError(f"a[{i}, {j}] = {a[i, j]} outside {{-1, 0, 1, +inf}}")
-    if not ((diag == 0) | (diag == -1)).all():
-        k = np.argwhere((diag != 0) & (diag != -1))[0][0]
-        raise ValueError(f"a[{k}, {k}] = {a[k, k]} breaks the diagonal convention")
-
-    zero_edges = (a == 0) & off
+    zero_edges = a == 0
+    np.fill_diagonal(zero_edges, False)
     if not zero_edges.any():
         # Z* = I, so both composites are a itself (+ 0.0 turns -0.0 into 0.0)
         return a + 0.0
@@ -165,13 +168,13 @@ def is_delta_regular(a, delta) -> bool:
 def one_regular_apsp(a) -> np.ndarray:
     """Distances for a 1-regular adjacency: a pair is -inf exactly when some k
     with a -1 self-loop has finite entries from i and to j; everything else is
-    already optimal as a direct entry."""
-    a = as_square(a)
+    already optimal as a direct entry.  A solve at n <= 1 starts here, so
+    the input is checked as ``canonical_adjacency`` checks it."""
+    a = check_adjacency(a)
     out = a.copy()
     looped = np.flatnonzero(np.diagonal(a) == -1)
     if looped.size:
         finite = a < POS_INF
-        into = BitMatrix.from_bool(finite[:, looped])
-        outof = BitMatrix.from_bool(finite[looped, :])
+        into, outof = BitMatrix(finite[:, looped]), BitMatrix(finite[looped, :])
         out[bool_product(into, outof)] = NEG_INF
     return out

@@ -95,7 +95,7 @@ class RowIndex:
     columns: np.ndarray  # (rows * n,) int32 columns in group order
     heavy_id: np.ndarray  # (groups,) int32 heavy id per group, -1 when light
     heavy_rows: int  # number of heavy groups
-    heavy: BitMatrix | None = None  # (heavy_rows, n), set by build_row_index
+    heavy: np.ndarray | None = None  # (heavy_rows, n) bool, set by build_row_index
 
     def group_of(self, rows, values):
         """Group number of each (row, value) pair as int32, or -1 where the
@@ -155,13 +155,13 @@ def build_row_index(a) -> RowIndex:
     return index
 
 
-def build_heavy_matrix(index: RowIndex) -> BitMatrix:
-    """One 0/1 row per heavy group: bit j set iff column j is in the group."""
+def build_heavy_matrix(index: RowIndex) -> np.ndarray:
+    """One bool row per heavy group: True at the columns in the group."""
     member_id = np.repeat(index.heavy_id, np.diff(index.starts))
     member = member_id >= 0
     occupancy = np.zeros((index.heavy_rows, index.n), dtype=bool)
     occupancy[member_id[member], index.columns[member]] = True
-    return BitMatrix.from_bool(occupancy)
+    return occupancy
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,12 @@ def restricted_target_minmax(
     """Target product for restricted instances via heavy-light row decomposition.
 
     For each entry the target value is looked up among the (row, value)
-    groups of ``a``: a target in a heavy group reads one precomputed bit of
-    F = H x B', a target in a light group scans the group's (few) columns for
-    one where B' is -inf, and a target absent from its row yields False.  A
-    +inf target yields True directly: the instance bound forces the min-max
-    there to +inf, and no finite witness rule applies.  B' is read only as
-    ``instance.b_neg``: packed as the right operand of F, and scanned as it
-    is by the light route.  The result is an (n, n) bool array.
+    groups of ``a``: a target in a heavy group reads one bit of F = H x B',
+    a target in a light group scans the group's (few) columns for one where
+    B' is -inf, and a target absent from its row yields False.  A +inf
+    target yields True directly: the instance bound forces the min-max there
+    to +inf, and no finite witness rule applies.  The result is an (n, n)
+    bool array.
 
     ``index`` is ``build_row_index(instance.a)``, built here when it is None.
     Products with the same left matrix can share one: the call only reads it.
@@ -248,24 +247,27 @@ def restricted_target_minmax(
         )
     if verify:
         instance.check_target_bound()
-    f = bool_product(index.heavy, BitMatrix.from_bool(b_neg))
 
-    # int32 query numbers: the index holds fewer than 2**31 entries
-    target_inf = target.ravel() == POS_INF
-    queries = np.flatnonzero(~target_inf).astype(np.int32)
+    # True at +inf targets; the rest are int32 queries (fewer than 2**31)
+    out = target.ravel() == POS_INF
+    queries = np.flatnonzero(~out).astype(np.int32)
     qi, qj = np.divmod(queries, n)
     group = index.group_of(qi, target.ravel()[queries])
     heavy_id = index.heavy_id[group]
     heavy = (group >= 0) & (heavy_id >= 0)
     light = (group >= 0) & (heavy_id < 0)
+    heavy_q, heavy_j, heavy_id = queries[heavy], qj[heavy], heavy_id[heavy]
+    light_q, light_j, light_g = queries[light], qj[light], group[light]
+    # F = H x B' only once the lookup's arrays over every query are gone
+    del queries, qi, qj, group, heavy, light
 
-    out = target_inf.copy()
-    out[queries[heavy]] = f[heavy_id[heavy], qj[heavy]]
+    f = bool_product(BitMatrix(index.heavy), BitMatrix(b_neg))
+    out[heavy_q] = f[heavy_id, heavy_j]
     del f
     # scan each light group, retiring queries as they hit or exhaust it
     b_neg_flat = b_neg.ravel()
-    live_q, live_j = queries[light], qj[light]
-    pos, end = index.starts[group[light]], index.starts[group[light] + 1]
+    live_q, live_j = light_q, light_j
+    pos, end = index.starts[light_g], index.starts[light_g + 1]
     while live_q.size:
         hit = b_neg_flat[index.columns[pos] * n + live_j]
         out[live_q[hit]] = True
@@ -276,7 +278,7 @@ def restricted_target_minmax(
     result = out.reshape(n, n)
     if not return_routes:
         return result
-    routes = np.where(target_inf, ROUTE_TARGET_INF, ROUTE_ABSENT).astype(np.int8)
-    routes[queries[heavy]] = ROUTE_HEAVY
-    routes[queries[light]] = ROUTE_LIGHT
-    return result, routes.reshape(n, n)
+    routes = np.where(target.ravel() == POS_INF, ROUTE_TARGET_INF, ROUTE_ABSENT)
+    routes[heavy_q] = ROUTE_HEAVY
+    routes[light_q] = ROUTE_LIGHT
+    return result, routes.reshape(n, n).astype(np.int8)

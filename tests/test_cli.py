@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -413,6 +414,7 @@ def test_unknown_flags_exit_2(tmp_path):
         ["verify", "g.txt", "--threshold", "0"],
         ["product", "--kernel", "minmax", "a", "b", "-t", "0.5"],
         ["bench", "--threshold", "0.5"],
+        ["solve", "g.txt", "--algorithm", "oracle", "--verify"],
     ],
 )
 def test_flags_a_command_ignores_are_unknown(tmp_path, flags):
@@ -499,12 +501,57 @@ def test_engine_refuses_beyond_its_measured_peak(tmp_path, capsys, monkeypatch, 
 
 
 def test_oracle_solve_is_bounded_by_its_adjacency(tmp_path, monkeypatch):
-    # 4 MiB holds the 0.5 MiB adjacency of n = 256, but not an engine solve
-    cli = cli_with_memory(monkeypatch, 4)
+    # 5 MiB holds an oracle solve of n = 256 (72 bytes per entry, 4.5 MiB),
+    # but not an engine solve (192 bytes per entry, 12 MiB)
+    cli = cli_with_memory(monkeypatch, 5)
     graph, out = tmp_path / "edgeless.txt", str(tmp_path / "out.txt")
     graph.write_text("256 0\n", encoding="utf-8")
     assert cli.main(["solve", str(graph), "-o", out]) == 3
     assert cli.main(["solve", str(graph), "-o", out, "--algorithm", "oracle"]) == 0
+
+
+def test_oracle_solve_refuses_beyond_its_measured_peak(tmp_path, capsys, monkeypatch):
+    # 4 MiB holds the 0.5 MiB adjacency of n = 256, but not the 4.5 MiB that
+    # an oracle solve of it peaks at with its formatted output
+    cli = cli_with_memory(monkeypatch, 4)
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle_apsp was called")
+
+    monkeypatch.setattr(cli, "oracle_apsp", no_oracle)
+    graph, out = tmp_path / "edgeless.txt", str(tmp_path / "out.txt")
+    graph.write_text("256 0\n", encoding="utf-8")
+    assert cli.main(["solve", str(graph), "-o", out, "--algorithm", "oracle"]) == 3
+    assert "physical memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_oracle_solve_peak_is_under_its_bound(tmp_path, n):
+    graph, out = tmp_path / "g.txt", str(tmp_path / "out.txt")
+    assert main(["gen", "-n", str(n), "--density", "0.3", "-o", str(graph)]) == 0
+    main(["solve", str(graph), "-o", out, "--algorithm", "oracle"])  # warm-up
+    tracemalloc.start()
+    try:
+        assert main(["solve", str(graph), "-o", out, "--algorithm", "oracle"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < minmax_apsp.cli.ORACLE_BYTES_PER_ENTRY * n * n
+
+
+def test_readme_quotes_the_cli_bounds():
+    # every `NAME = value` in README.md is the value of cli.NAME
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    quoted = dict(re.findall(r"`([A-Z][A-Z0-9_]*) = ([0-9]+)`", readme))
+    assert {
+        "SOLVE_BYTES_PER_ENTRY",
+        "ORACLE_BYTES_PER_ENTRY",
+        "BENCH_BYTES_PER_ENTRY",
+        "PRODUCT_BYTES_PER_ENTRY",
+        "PRODUCT_BYTES_PER_HEAVY_ENTRY",
+    } <= set(quoted)
+    for name, value in quoted.items():
+        assert getattr(minmax_apsp.cli, name) == int(value), name
 
 
 def test_verify_flag_counts_every_levels_oracle_distances(tmp_path, monkeypatch):

@@ -160,25 +160,35 @@ def test_bitmatrix_roundtrip(rows, cols, rnd):
     dense = np.array(
         [[rnd.random() < 0.4 for _ in range(cols)] for _ in range(rows)], dtype=bool
     )
-    packed = BitMatrix.from_bool(dense)
-    assert packed.words.shape == (rows, (cols + 7) // 8)
-    assert np.array_equal(packed.to_bool(), dense)
+    operand = BitMatrix(dense)
+    assert operand.bits is dense  # a bool input is held, not copied
+    assert np.array_equal(BitMatrix(dense.astype(np.float64)).bits, dense)
+    words = operand.words
+    assert words.dtype == np.uint8 and words.shape == (rows, (cols + 7) // 8)
+    unpacked = np.unpackbits(words, axis=1, count=cols, bitorder="little")
+    assert np.array_equal(unpacked.view(bool), dense)
     # padding bits past cols stay zero
     if cols % 8:
-        tail = packed.words[:, -1] >> np.uint8(cols % 8)
+        tail = words[:, -1] >> np.uint8(cols % 8)
         assert (tail == 0).all()
+
+
+def test_bitmatrix_rejects_what_is_not_2d():
+    for array in (np.zeros(3, dtype=bool), np.zeros((2, 2, 2), dtype=bool)):
+        with pytest.raises(ValueError):
+            BitMatrix(array)
 
 
 def test_bool_product_identity():
     rng = np.random.default_rng(3)
     q = rng.random((3, 5)) < 0.5
-    out = bool_product(BitMatrix.from_bool(np.eye(3, dtype=bool)), BitMatrix.from_bool(q))
+    out = bool_product(BitMatrix(np.eye(3, dtype=bool)), BitMatrix(q))
     assert np.array_equal(out, q)
 
 
 def test_bool_product_ors_rows():
-    p = BitMatrix.from_bool(np.array([[1, 1]], dtype=bool))
-    q = BitMatrix.from_bool(np.array([[0, 1], [1, 0]], dtype=bool))
+    p = BitMatrix(np.array([[1, 1]], dtype=bool))
+    q = BitMatrix(np.array([[0, 1], [1, 0]], dtype=bool))
     assert np.array_equal(bool_product(p, q), [[True, True]])
 
 
@@ -186,7 +196,7 @@ def test_bool_product_matches_naive():
     rng = np.random.default_rng(17)
     p = rng.random((20, 30)) < 0.2
     q = rng.random((30, 10)) < 0.2
-    got = bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
+    got = bool_product(BitMatrix(p), BitMatrix(q))
     assert np.array_equal(got, naive_bool_product(p, q))
 
 
@@ -212,7 +222,7 @@ def test_bool_product_matches_integer_matmul(rows, inner, cols, dp, dq, seed):
     rng = np.random.default_rng(seed)
     p = rng.random((rows, inner)) < dp
     q = rng.random((inner, cols)) < dq
-    got = bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
+    got = bool_product(BitMatrix(p), BitMatrix(q))
     assert got.dtype == bool and got.shape == (rows, cols)
     assert got.flags.c_contiguous
     assert np.array_equal(got, integer_bool_product(p, q))
@@ -222,7 +232,7 @@ def test_bool_product_matches_integer_matmul_at_2048_rows():
     rng = np.random.default_rng(61)
     p = rng.random((2048, 512)) < 0.1
     q = rng.random((512, 512)) < 0.01
-    got = bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
+    got = bool_product(BitMatrix(p), BitMatrix(q))
     assert np.array_equal(got, integer_bool_product(p, q))
 
 
@@ -232,8 +242,8 @@ def test_bool_product_memory_is_bounded_for_tall_operands():
     # result itself is 32 MiB
     rng = np.random.default_rng(67)
     dense_p = rng.random((65536, 512)) < 0.5
-    p = BitMatrix.from_bool(dense_p)
-    q = BitMatrix.from_bool(rng.random((512, 512)) < 0.01)
+    p = BitMatrix(dense_p)
+    q = BitMatrix(rng.random((512, 512)) < 0.01)
     tracemalloc.start()
     try:
         got = bool_product(p, q)
@@ -243,7 +253,7 @@ def test_bool_product_memory_is_bounded_for_tall_operands():
     assert peak < 128 * 2**20
     # spot-check the first, last and block-straddling rows
     rows = np.r_[0:64, 8160:8224, 65472:65536]
-    want = integer_bool_product(dense_p[rows], q.to_bool())
+    want = integer_bool_product(dense_p[rows], q.bits)
     assert np.array_equal(got[rows], want)
 
 
@@ -293,7 +303,7 @@ def test_count_product_matches_integer_matmul(rows, inner, cols, sp, sq, density
     got = count_product(p_int.astype(np.float32), q_int.astype(np.float32))
     assert got.dtype == np.float32 and got.shape == (rows, cols)
     assert np.array_equal(got, want)
-    bits = bool_product(BitMatrix.from_bool(p), BitMatrix.from_bool(q))
+    bits = bool_product(BitMatrix(p), BitMatrix(q))
     assert np.array_equal(bits, want > 0)
 
 
@@ -305,9 +315,7 @@ def test_count_product_dimension_mismatch():
 
 def test_bool_product_dimension_mismatch():
     with pytest.raises(ValueError):
-        bool_product(
-            BitMatrix.from_bool(np.zeros((2, 3))), BitMatrix.from_bool(np.zeros((4, 2)))
-        )
+        bool_product(BitMatrix(np.zeros((2, 3))), BitMatrix(np.zeros((4, 2))))
 
 
 def test_bool_closure_reflexive_only():

@@ -170,7 +170,7 @@ def test_row_index_groups_match_the_matrix(data):
         data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float
     ).reshape(rows, n)
     idx = build_row_index(a)
-    h = build_heavy_matrix(idx).to_bool()
+    h = build_heavy_matrix(idx)
     assert h.shape == (idx.heavy_rows, n)
     assert idx.heavy_rows <= rows * idx.cutoff
     # keys ascend strictly, so groups run row-major in ascending value order,
@@ -208,22 +208,22 @@ def test_row_index_keeps_plus_inf_groups_light():
 def test_heavy_matrix_empty_registry():
     a = np.arange(9, dtype=float).reshape(3, 3)
     idx = build_row_index(a)
-    assert build_heavy_matrix(idx).rows == 0
+    assert build_heavy_matrix(idx).shape == (0, 3)
 
 
 def test_heavy_matrix_occurrence_mask():
     a = np.array([[4, 4, 4, 1], [1, 1, 1, 1], [0, 1, 2, 3], [2, 2, 3, 3]], dtype=float)
     idx = build_row_index(a)
     h = build_heavy_matrix(idx)
-    assert np.array_equal(h.to_bool()[heavy_row(idx, 0, 4)], [1, 1, 1, 0])
-    assert np.array_equal(h.to_bool()[heavy_row(idx, 1, 1)], [1, 1, 1, 1])
+    assert np.array_equal(h[heavy_row(idx, 0, 4)], [1, 1, 1, 0])
+    assert np.array_equal(h[heavy_row(idx, 1, 1)], [1, 1, 1, 1])
 
 
 def test_heavy_matrix_rows_recount_multiplicities():
     rng = np.random.default_rng(41)
     a = rng.integers(0, 3, size=(8, 8)).astype(float)
     idx = build_row_index(a)
-    h = build_heavy_matrix(idx).to_bool()
+    h = build_heavy_matrix(idx)
     assert idx.heavy_rows > 0
     for g in np.flatnonzero(idx.heavy_id >= 0):
         i, rank = divmod(int(idx.keys[g]), idx.values.size)

@@ -329,6 +329,21 @@ def test_apsp_edgeless():
     assert np.array_equal(got, a)
 
 
+@pytest.mark.parametrize("entry", [5.0, 1.0, 0.5, INF, NEG_INF, np.nan])
+def test_solve_checks_the_input_at_n_1(entry):
+    # at n = 1 the recursion starts at delta = 1, in the base case; the
+    # same entry on the diagonal at n = 2 fails canonical rewiring's check
+    for a in ([[entry]], [[entry, INF], [INF, 0.0]]):
+        with pytest.raises(ValueError, match=r"a\[0, 0\] = .* \(the diagonal\)"):
+            solve_apsp(np.array(a))
+
+
+def test_solve_at_n_at_most_1():
+    assert solve_apsp(np.array([[0.0]])).tolist() == [[0.0]]
+    assert solve_apsp(np.array([[-1.0]])).tolist() == [[NEG_INF]]
+    assert solve_apsp(np.zeros((0, 0))).shape == (0, 0)
+
+
 def test_apsp_rejects_bad_delta():
     with pytest.raises(ValueError):
         apsp_minus_zero_one(CHAIN, 0)
@@ -431,6 +446,64 @@ def test_levels_run_are_logarithmic_in_n(monkeypatch):
         trace = RecursionTrace()
         solve_apsp(path_adjacency(n, -1), trace=trace)
         assert levels_run(trace) == bound, n
+
+
+# each check verify=True makes, by the stage whose result it checks
+VERIFY_CHECKS = {
+    "one_regular_apsp": "1-regular base case disagrees with the oracle",
+    "canonical_adjacency": "canonical rewiring changed some distance",
+    "two_hop_target": "halving law failed",
+    "parity_products": "parity detectors disagree with oracle parity",
+    "assemble_distances": "assembled distances disagree with the oracle",
+}
+
+
+@pytest.mark.parametrize("stage", sorted(VERIFY_CHECKS))
+def test_each_verify_check_fires(monkeypatch, stage):
+    # the stage returns its true result with one finite entry changed to
+    # another legal value; on the +1 path the first off-diagonal finite
+    # entry is the edge 0 -> 1, weight 1 at every level, and lowering it to
+    # 0 changes a distance
+    original = getattr(reduction, stage)
+
+    def corrupted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if stage == "parity_products":
+            # flip z_minus where z_plus is False, so the pair's parity flips
+            z_plus, z_minus = out
+            finite = np.isfinite(args[0]) & ~z_plus
+            i, j = np.argwhere(finite)[0]
+            z_minus = z_minus.copy()
+            z_minus[i, j] = not z_minus[i, j]
+            return z_plus, z_minus
+        finite = np.isfinite(out) & ~np.eye(len(out), dtype=bool)
+        i, j = np.argwhere(finite)[0]
+        out = out.copy()
+        out[i, j] -= 1.0
+        return out
+
+    monkeypatch.setattr(reduction, stage, corrupted)
+    a = path_adjacency(6, 1)
+    # unchecked, the change reaches the result
+    assert not np.array_equal(solve_apsp(a), oracle_apsp(a))
+    with pytest.raises(VerificationError, match=VERIFY_CHECKS[stage]):
+        solve_apsp(a, verify=True)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_solve_packs_no_bits(monkeypatch, workload):
+    # Boolean operands stay bool arrays: only a reader of BitMatrix.words,
+    # such as the benchmark's tracer, packs them
+    a = workload_adjacency(monkeypatch, workload, 512)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solve packed or unpacked bits")
+
+    monkeypatch.setattr(np, "packbits", forbidden)
+    monkeypatch.setattr(np, "unpackbits", forbidden)
+    got = solve_apsp(a)
+    monkeypatch.undo()
+    assert np.array_equal(got, oracle_apsp(a))
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
