@@ -13,8 +13,8 @@ Every integer field and argument is plain ASCII decimal, ``[+-]?[0-9]+``.
 Exit codes: 0 success, 1 verification mismatch, 2 parse error (malformed
 header or framing, a non-decimal integer) or a file that cannot be read or
 written, 3 invalid input (weight or index out of range, a matrix entry
-beyond 2**53, an n whose measured memory peak exceeds physical memory, or a
-violated product precondition in verification mode).
+beyond 2**53, an n or edge count m whose measured memory peak exceeds
+physical memory, or a violated product precondition in verification mode).
 """
 
 from __future__ import annotations
@@ -142,11 +142,17 @@ def _header(lines, kind, names):
     return number, [_integer(f, number, "header field") for f in fields]
 
 
-def parse_edge_list(text) -> SignedGraph:
-    lines = _data_lines(text)
+def _edge_list_header(lines):
+    """The header's vertex and edge counts, n and m."""
     number, (n, m) = _header(lines, "edge-list", "n m")
     if n < 0 or m < 0:
         raise InvalidInputError(f"line {number}: negative count in header '{n} {m}'")
+    return n, m
+
+
+def parse_edge_list(text) -> SignedGraph:
+    lines = _data_lines(text)
+    n, m = _edge_list_header(lines)
     edges = []
     for number, line in lines:
         if len(edges) == m:
@@ -275,15 +281,23 @@ def _refuse_beyond_memory(nbytes, what):
 
 # Peak bytes per n**2 of one engine solve with verify off (tracemalloc,
 # through `solve`).  A solve has one configuration, so this bounds every
-# solve.  unit-cli reads 92 at n = 1024 and 91 at n = 2048; solve_apsp alone
-# peaks at 98 at most, neg-cycles at n = 256 (BENCH_solve.json); a `gen`
-# graph of the default density 0.3 reads 90 / 89 / 88 at n = 256 / 512 /
-# 1024.  The largest measured before the bool parity masks was 141.
+# solve.  unit-cli reads 57 at n = 1024 and 2048; solve_apsp alone peaks at
+# 64 at most, neg-cycles at n = 256 (BENCH_solve.json); a `gen` graph of the
+# default density 0.3 reads 60 / 58 / 62 at n = 256 / 512 / 1024.  The
+# largest measured before the restricted kernel's row blocks was 98, before
+# the bool parity masks 141.
 SOLVE_BYTES_PER_ENTRY = 192
 
 # Peak bytes per n**2 of `solve --algorithm oracle` (tracemalloc, through
 # `solve`): 57 to 65 at `gen` densities 0 to 0.3 and n = 128 to 2048.
 ORACLE_BYTES_PER_ENTRY = 72
+
+# Peak bytes per edge of parsing an edge list (tracemalloc): the file's text,
+# its lines and the edges' Python tuples and ints take 113 at n = 64 and 142
+# to 205 at n = 256 to 4096, where endpoints above 256 are ints of their own.
+# Building the adjacency from the edges peaks at up to 180 per edge plus the
+# adjacency's 8 per n**2.
+PARSE_BYTES_PER_EDGE = 224
 
 # Peak bytes of `gen` (tracemalloc, gen_random_graph plus format_edge_list)
 # per ordered pair and per edge, rounded up from n = 500: 24 bytes per pair
@@ -297,30 +311,35 @@ GEN_BYTES_PER_EDGE = 168
 # 1.3 MiB of modules once (numpy.ma among them), which no bound counts.
 BENCH_BYTES_PER_ENTRY = 128
 
-# Peak bytes of `product` (tracemalloc, parsing included): 88 to 89 per
+# Peak bytes of `product` (tracemalloc, parsing included): 67 to 68 per
 # n**2 on bench instances at n = 256 / 512 / 1024, plus the restricted
 # kernel's heavy matrix H and F = H.B', one bool byte per entry each.  A row
 # holds at most isqrt(n) heavy groups, so each of those has at most
 # n**2 * isqrt(n) entries; the most-heavy case, rows split into groups of
-# cutoff + 1 columns, peaks at 93 / 98 / 114 per n**2.
+# cutoff + 1 columns, peaks at 72 / 74 / 90 per n**2.
 PRODUCT_BYTES_PER_ENTRY = 128
 PRODUCT_BYTES_PER_HEAVY_ENTRY = 4
 
 
 def _read_adjacency(path, *, engine, verify=False) -> np.ndarray:
-    """The adjacency of an edge list, refused (exit 3) before it is built
-    when the solve's peak would exceed physical memory."""
-    graph = parse_edge_list(_read(path))
-    n = graph.n
+    """The adjacency of an edge list, refused (exit 3) on its header, before
+    any edge line is parsed, when the parse or the solve would exceed
+    physical memory."""
+    text = _read(path)
+    n, m = _edge_list_header(_data_lines(text))
     per_entry = SOLVE_BYTES_PER_ENTRY if engine else ORACLE_BYTES_PER_ENTRY
     if verify:  # the engine's: `solve --algorithm oracle` refuses --verify
         # every level (one per halving of n**2, plus the base case) keeps
         # its float64 oracle distances across the recursion
         per_entry += 8 * ((n * n - 1).bit_length() + 1)
+    # the parsed edges are gone before the solve starts, but are still held
+    # while the float64 adjacency is built from them
     _refuse_beyond_memory(
-        per_entry * n**2, f"solving n={n} at {per_entry} bytes per entry"
+        max(per_entry * n**2, PARSE_BYTES_PER_EDGE * m + 8 * n**2),
+        f"solving n={n} with m={m} edges at {per_entry} bytes per entry "
+        f"and {PARSE_BYTES_PER_EDGE} per edge",
     )
-    return adjacency_from_graph(graph)
+    return adjacency_from_graph(parse_edge_list(text))
 
 
 def _cmd_solve(args) -> int:

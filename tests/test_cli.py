@@ -546,12 +546,58 @@ def test_readme_quotes_the_cli_bounds():
     assert {
         "SOLVE_BYTES_PER_ENTRY",
         "ORACLE_BYTES_PER_ENTRY",
+        "PARSE_BYTES_PER_EDGE",
         "BENCH_BYTES_PER_ENTRY",
         "PRODUCT_BYTES_PER_ENTRY",
         "PRODUCT_BYTES_PER_HEAVY_ENTRY",
     } <= set(quoted)
     for name, value in quoted.items():
         assert getattr(minmax_apsp.cli, name) == int(value), name
+
+
+@pytest.mark.parametrize(
+    "header, argv",
+    [
+        ("1024 1", ["solve"]),
+        ("1024 1", ["verify"]),
+        ("256 1000000", ["solve", "--algorithm", "oracle"]),
+    ],
+    ids=["solve-n", "verify-n", "oracle-m"],
+)
+def test_header_beyond_memory_exits_3_before_any_edge_line(
+    tmp_path, capsys, monkeypatch, header, argv
+):
+    # 64 MiB holds neither a solve of n = 1024 nor 224 MB of parsed edges;
+    # the edge line after the header is malformed (exit 2) and never read
+    cli = cli_with_memory(monkeypatch, 64)
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"{header}\n0 1\n", encoding="utf-8")
+    out = [] if argv == ["verify"] else ["-o", str(tmp_path / "out.txt")]
+    assert cli.main([argv[0], str(graph), *argv[1:], *out]) == 3
+    err = capsys.readouterr().err
+    assert "physical memory" in err and "line 2" not in err
+
+
+def test_oracle_solve_charges_the_parsed_edges(tmp_path, monkeypatch):
+    # the complete graph on 256 vertices: its adjacency charge (72 bytes per
+    # entry, 4.5 MiB) fits in 8 MiB, its parsed edges (224 bytes each, 14 MiB)
+    # do not; the whole command peaks under the larger of the two
+    n = 256
+    graph, out = tmp_path / "complete.txt", str(tmp_path / "out.txt")
+    assert main(["gen", "-n", str(n), "--density", "1", "-o", str(graph)]) == 0
+    argv = ["solve", str(graph), "-o", out, "--algorithm", "oracle"]
+    main(argv)  # warm-up
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cli = minmax_apsp.cli
+    m = n * (n - 1)
+    charge = max(cli.ORACLE_BYTES_PER_ENTRY * n * n, cli.PARSE_BYTES_PER_EDGE * m + 8 * n * n)
+    assert peak < charge
+    assert cli_with_memory(monkeypatch, 8).main(argv) == 3
 
 
 def test_verify_flag_counts_every_levels_oracle_distances(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmax_apsp import cli
+from minmax_apsp import cli, products
 from minmax_apsp import (
     NEG_INF,
     POS_INF,
@@ -498,3 +498,78 @@ def test_restricted_memory_with_the_most_heavy_rows():
     a = np.array([rng.permutation(np.arange(n) // (cutoff + 1)) for _ in range(n)])
     assert build_row_index(a).heavy_rows == 21 * n
     _check_restricted_memory(a.astype(float), rng)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's row blocks
+
+
+def block_boundary_instance(rng, n):
+    """A random restricted instance whose first row holds only +inf and whose
+    middle row splits into groups of cutoff + 1 columns, all heavy."""
+    inst = random_restricted_instance(rng, n)
+    a = inst.a.copy()
+    a[0] = INF
+    cutoff = build_row_index(np.zeros((1, n))).cutoff
+    if n > cutoff:
+        a[n // 2] = rng.permutation(np.arange(n) // (cutoff + 1))
+        a[n // 2, n - n % (cutoff + 1) :] = 0.0  # the short last group joins 0's
+    product = minmax_product(a, inf_matrix(inst.b_neg))
+    slack = rng.integers(0, 3, size=(n, n)).astype(float)
+    target = np.where(np.isfinite(product), product - slack, product)
+    target[0, : n // 2] = rng.integers(-2, 3, size=n // 2)  # finite, in no group
+    return RestrictedInstance(a, inst.b_neg, target)
+
+
+BLOCK = products._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_restricted_matches_across_block_boundaries(monkeypatch, n):
+    # one row, one row under, at and over the block size, and two blocks
+    # plus 3 rows; one index serves two targets, and each answer is the
+    # naive kernel's and, routes included, the kernel's in one block
+    rng = np.random.default_rng(73 + n)
+    first = block_boundary_instance(rng, n)
+    a, b_neg = first.a, first.b_neg
+    product = minmax_product(a, inf_matrix(b_neg))
+    second = RestrictedInstance(a, b_neg, np.where(np.isfinite(product), product - 1, product))
+    index = build_row_index(a)
+    seen = []
+    for inst in (first, second):
+        got, routes = restricted_target_minmax(inst, index=index, return_routes=True)
+        assert routes.dtype == np.int8
+        assert np.array_equal(got, target_minmax_naive(a, inf_matrix(b_neg), inst.target))
+        monkeypatch.setattr(products, "_BLOCK_ROWS", n)
+        whole, whole_routes = restricted_target_minmax(inst, index=index, return_routes=True)
+        monkeypatch.setattr(products, "_BLOCK_ROWS", BLOCK)
+        assert np.array_equal(got, whole)
+        assert np.array_equal(routes, whole_routes)
+        seen.append(routes)
+        assert set(routes[0].tolist()) <= {ROUTE_TARGET_INF, ROUTE_ABSENT}
+    if n > index.cutoff:  # the middle row's finite targets are heavy or in no group
+        middle = set(seen[0][n // 2][np.isfinite(first.target[n // 2])].tolist())
+        assert ROUTE_HEAVY in middle and middle <= {ROUTE_HEAVY, ROUTE_ABSENT}
+    if n > 1:
+        assert_both_routes(seen)
+
+
+def test_restricted_memory_when_every_target_is_finite():
+    # a and the target are -inf everywhere: n**2 queries, each row one heavy
+    # group.  With the index given, the kernel peaks at 2.85 MiB (11 B per
+    # target), mostly F = H x B' and its float32 operands; answering every
+    # row at once held about 55 B per target (13.75 MiB)
+    n = 512
+    rng = np.random.default_rng(79)
+    a = np.full((n, n), NEG_INF)
+    b_neg = rng.random((n, n)) < 0.01
+    inst = RestrictedInstance(a, b_neg, a)
+    index = build_row_index(a)
+    tracemalloc.start()
+    try:
+        got = restricted_target_minmax(inst, index=index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n
+    assert np.array_equal(got, np.broadcast_to(b_neg.any(axis=0), (n, n)))

@@ -554,9 +554,10 @@ def test_solve_memory_does_not_grow_with_depth(monkeypatch, workload):
 
 
 def test_parity_products_memory_on_the_top_level(monkeypatch):
-    # one row index shared by both products, with int32 offsets and queries:
-    # 15.73 MiB on this level (numpy 2.4; 15.98 while the kernel derived its
-    # -inf mask from a float B'), 19.32 MiB with an int64 index per product
+    # one row index shared by both products, with int32 offsets and queries,
+    # each product answering one block of rows at a time: 7.18 MiB on this
+    # level (numpy 2.4); 15.35 MiB with every row's queries at once, 19.32
+    # with an int64 index per product
     *_, top = parity_calls(monkeypatch, "unit-cli", 512)
     tracemalloc.start()
     try:
@@ -564,12 +565,13 @@ def test_parity_products_memory_on_the_top_level(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17.5 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_parity_stage_memory_on_the_top_level(monkeypatch):
     # the whole stage from the level's int8 edge signs: two bool masks, not
-    # two float64 +/-inf ones (19.98 MiB with those, 16 B per entry more)
+    # two float64 +/-inf ones (16 B per entry more).  7.68 MiB with the
+    # kernel's row blocks, 15.85 MiB without
     calls = stage_calls(monkeypatch, "unit-cli", 512, ["parity_masks", "parity_products"])
     (signs,) = calls["parity_masks"][-1]
     halved_dist = calls["parity_products"][-1][0]
@@ -579,4 +581,4 @@ def test_parity_stage_memory_on_the_top_level(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17.5 * 2**20
+    assert peak < 8.5 * 2**20
